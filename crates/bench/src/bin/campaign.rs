@@ -39,6 +39,7 @@ use hayat::{
     RunMetrics, Schedule, SearchPath, SimulationConfig,
 };
 use hayat_aging::TablePath;
+use hayat_bench::env_default;
 use hayat_checkpoint::{Checkpointer, FailPoint, ShardedCheckpointer};
 use hayat_runfmt::RunFileWriter;
 use hayat_telemetry::{JsonlRecorder, Recorder};
@@ -176,15 +177,6 @@ fn parse_replay(spec: &str) -> (PolicyKind, usize) {
         usage()
     });
     (parse_policy(policy), chip)
-}
-
-/// Reads one `HAYAT_*` env-var default, exiting with the parse message on
-/// garbage (same treatment as a bad flag value).
-fn env_default<T>(read: impl FnOnce() -> Result<T, String>) -> T {
-    read().unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2)
-    })
 }
 
 fn parse_args() -> Args {

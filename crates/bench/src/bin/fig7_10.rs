@@ -40,7 +40,12 @@
 //! and writes one summary per dark fraction (`STEM.dark25.json`,
 //! `STEM.dark50.json`) — byte-identical for any `--jobs` value and across
 //! crash/resume cycles.
+//!
+//! An unknown flag, a flag without its value, or a value that does not
+//! parse prints the usage and exits with status 2 before anything runs.
 
+use std::fmt::Display;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 use hayat::sim::campaign::PolicyKind;
@@ -48,129 +53,145 @@ use hayat::{
     Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, Pinning, Schedule, SearchPath,
     SimulationConfig,
 };
-use hayat_bench::{bar_row, section};
+use hayat_bench::{bar_row, env_default, section};
 use hayat_checkpoint::{Checkpointer, FailPoint};
 use hayat_telemetry::{JsonlRecorder, NullRecorder, Recorder};
 
+struct Args {
+    quick: bool,
+    /// `--json DIR`: writes the raw CampaignResult of each dark fraction as
+    /// JSON for external analysis.
+    json_dir: Option<String>,
+    /// `--telemetry FILE.jsonl`: one JSON event per line covering both
+    /// dark-fraction campaigns.
+    telemetry_path: Option<String>,
+    /// `--fleet-stats STEM`: one mergeable summary per dark fraction
+    /// (STEM.dark25.json, STEM.dark50.json).
+    fleet_stem: Option<String>,
+    /// `--checkpoint STEM` / `--resume STEM`: each dark-fraction campaign
+    /// persists to its own derived file (STEM.dark25, ...).
+    checkpoint_stem: Option<String>,
+    resume_stem: Option<String>,
+    every: Option<usize>,
+    jobs: Jobs,
+    schedule: Schedule,
+    pin: Pinning,
+    batch: Batch,
+    search_path: SearchPath,
+    /// `--floorplan RxC` mesh override, e.g. 32x32 or 16x64.
+    floorplan: Option<(usize, usize)>,
+}
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: fig7_10 [--quick] [--json DIR] [--telemetry FILE.jsonl] \
+         [--fleet-stats STEM] [--checkpoint STEM | --resume STEM] [--every EPOCHS] \
+         [--jobs N|auto] [--batch N] [--schedule static|steal] [--pin none|cores] \
+         [--search-path tiled|exhaustive] [--floorplan RxC]"
+    );
+    std::process::exit(2)
+}
+
+/// Parses `value` as the value of `flag`, or prints why it does not parse
+/// and the usage, and exits 2.
+fn parse<T: FromStr>(flag: &str, value: &str) -> T
+where
+    T::Err: Display,
+{
+    value.parse().unwrap_or_else(|e| {
+        eprintln!("{flag} {value:?}: {e}");
+        usage()
+    })
+}
+
+fn parse_args() -> Args {
+    let mut args = Args {
+        quick: false,
+        json_dir: None,
+        telemetry_path: None,
+        fleet_stem: None,
+        checkpoint_stem: None,
+        resume_stem: None,
+        every: None,
+        jobs: env_default(Jobs::from_env),
+        schedule: env_default(Schedule::from_env),
+        pin: env_default(Pinning::from_env),
+        batch: Batch::serial(),
+        search_path: SearchPath::default(),
+        floorplan: None,
+    };
+    let mut it = std::env::args().skip(1);
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next().unwrap_or_else(|| {
+                eprintln!("missing value for {flag}");
+                usage()
+            })
+        };
+        match flag.as_str() {
+            "--quick" => args.quick = true,
+            "--json" => args.json_dir = Some(value()),
+            "--telemetry" => args.telemetry_path = Some(value()),
+            "--fleet-stats" => args.fleet_stem = Some(value()),
+            "--checkpoint" => args.checkpoint_stem = Some(value()),
+            "--resume" => args.resume_stem = Some(value()),
+            "--every" => args.every = Some(parse(&flag, &value())),
+            "--jobs" => args.jobs = parse(&flag, &value()),
+            "--schedule" => args.schedule = parse(&flag, &value()),
+            "--pin" => args.pin = parse(&flag, &value()),
+            "--batch" => args.batch = parse(&flag, &value()),
+            "--search-path" => args.search_path = parse(&flag, &value()),
+            "--floorplan" => {
+                let spec = value();
+                let mesh = spec
+                    .split_once(['x', 'X'])
+                    .and_then(|(r, c)| Some((r.trim().parse().ok()?, c.trim().parse().ok()?)))
+                    .filter(|&(r, c): &(usize, usize)| r > 0 && c > 0);
+                args.floorplan = Some(mesh.unwrap_or_else(|| {
+                    eprintln!("--floorplan wants ROWSxCOLS with positive dimensions, got {spec:?}");
+                    usage()
+                }));
+            }
+            "--help" | "-h" => usage(),
+            other => {
+                eprintln!("unknown flag {other:?}");
+                usage()
+            }
+        }
+    }
+    if args.checkpoint_stem.is_some() && args.resume_stem.is_some() {
+        eprintln!("--checkpoint and --resume are mutually exclusive");
+        usage()
+    }
+    if args.every.is_some() && args.checkpoint_stem.is_none() && args.resume_stem.is_none() {
+        eprintln!("--every requires --checkpoint or --resume");
+        usage()
+    }
+    args
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    // Optional archive: `--json <dir>` writes the raw CampaignResult of each
-    // dark fraction as JSON for external analysis.
-    let json_dir = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    // Optional observability: `--telemetry <file.jsonl>` streams one JSON
-    // event per line covering both dark-fraction campaigns.
-    let telemetry_path = args
-        .iter()
-        .position(|a| a == "--telemetry")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let Args {
+        quick,
+        json_dir,
+        telemetry_path,
+        fleet_stem,
+        checkpoint_stem,
+        resume_stem,
+        every,
+        jobs,
+        schedule,
+        pin,
+        batch,
+        search_path,
+        floorplan,
+    } = parse_args();
     let recorder = telemetry_path
         .as_deref()
         .map(|path| Arc::new(JsonlRecorder::create(path).expect("create telemetry stream")));
-    // Optional fleet sketches: `--fleet-stats STEM` writes one mergeable
-    // summary per dark fraction (STEM.dark25.json, STEM.dark50.json) —
-    // byte-identical for any --jobs and across crash/resume cycles.
-    let fleet_stem = args
-        .iter()
-        .position(|a| a == "--fleet-stats")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    // Crash safety: `--checkpoint STEM` / `--resume STEM` persist each
-    // dark-fraction campaign to its own derived file (STEM.dark25, ...).
-    let checkpoint_stem = args
-        .iter()
-        .position(|a| a == "--checkpoint")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let resume_stem = args
-        .iter()
-        .position(|a| a == "--resume")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    assert!(
-        checkpoint_stem.is_none() || resume_stem.is_none(),
-        "--checkpoint and --resume are mutually exclusive"
-    );
-    let every = args
-        .iter()
-        .position(|a| a == "--every")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--every takes a positive epoch count"));
-    // Worker threads for the campaign grid; results are byte-identical
-    // regardless of the count, so this only changes wall-clock time.
-    let exit_on_err = |err: String| -> ! {
-        eprintln!("{err}");
-        std::process::exit(2)
-    };
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(
-            || Jobs::from_env().unwrap_or_else(|e| exit_on_err(e)),
-            |v| v.parse().unwrap_or_else(|e| exit_on_err(e)),
-        );
-    // Scheduler knobs: flags override the HAYAT_SCHEDULE / HAYAT_PIN
-    // env defaults. Pure execution knobs — output is byte-identical.
-    let schedule = args
-        .iter()
-        .position(|a| a == "--schedule")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(
-            || Schedule::from_env().unwrap_or_else(|e| exit_on_err(e)),
-            |v| v.parse().unwrap_or_else(|e| exit_on_err(e)),
-        );
-    let pin = args
-        .iter()
-        .position(|a| a == "--pin")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(
-            || Pinning::from_env().unwrap_or_else(|e| exit_on_err(e)),
-            |v| v.parse().unwrap_or_else(|e| exit_on_err(e)),
-        );
-    // Batched lockstep execution (parity with the campaign driver): a pure
-    // execution knob, byte-identical output for every width.
-    let batch = args
-        .iter()
-        .position(|a| a == "--batch")
-        .and_then(|i| args.get(i + 1))
-        .map_or(Batch::serial(), |v| {
-            v.parse().unwrap_or_else(|e| exit_on_err(e))
-        });
-    // Candidate-search path: tiled index (default) or the exhaustive oracle.
-    let search_path = args
-        .iter()
-        .position(|a| a == "--search-path")
-        .and_then(|i| args.get(i + 1))
-        .map_or(SearchPath::default(), |v| {
-            v.parse().unwrap_or_else(|e| exit_on_err(e))
-        });
-    // Optional mesh override, e.g. --floorplan 32x32 or 16x64.
-    let floorplan = args
-        .iter()
-        .position(|a| a == "--floorplan")
-        .and_then(|i| args.get(i + 1))
-        .map(|spec| {
-            spec.split_once(['x', 'X'])
-                .and_then(|(r, c)| Some((r.trim().parse().ok()?, c.trim().parse().ok()?)))
-                .filter(|&(r, c): &(usize, usize)| r > 0 && c > 0)
-                .unwrap_or_else(|| {
-                    exit_on_err(format!(
-                        "--floorplan wants ROWSxCOLS with positive dimensions, got {spec:?}"
-                    ))
-                })
-        });
     // One shared fail point: HAYAT_FAILPOINT hits count across BOTH
     // dark-fraction campaigns, so any point of the experiment is killable.
-    let failpoint = Arc::new(FailPoint::from_env().unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2)
-    }));
+    let failpoint = Arc::new(env_default(FailPoint::from_env));
     for dark in [0.25, 0.5] {
         let mut config = SimulationConfig::paper(dark);
         if quick {

@@ -8,13 +8,42 @@
 //!
 //! With `--telemetry`, each measured primitive is also recorded as an
 //! `overhead.*` span sample in the JSONL stream, so the printed table can be
-//! recovered offline via `TelemetrySummary::from_jsonl`.
+//! recovered offline via `TelemetrySummary::from_jsonl`. Any other flag,
+//! or `--telemetry` without its file, prints the usage and exits with
+//! status 2.
 
 use hayat::{ChipSystem, HayatPolicy, Policy, PolicyContext, SimulationConfig};
 use hayat_telemetry::{JsonlRecorder, Recorder, NULL_RECORDER};
 use hayat_units::{DutyCycle, Kelvin, Watts, Years};
 use hayat_workload::WorkloadMix;
 use std::time::Instant;
+
+fn usage() -> ! {
+    eprintln!("usage: overhead_table [--telemetry FILE.jsonl]");
+    std::process::exit(2)
+}
+
+/// The `--telemetry` path, if given.
+fn parse_args() -> Option<String> {
+    let mut telemetry_path = None;
+    let mut it = std::env::args().skip(1);
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--telemetry" => {
+                telemetry_path = Some(it.next().unwrap_or_else(|| {
+                    eprintln!("missing value for --telemetry");
+                    usage()
+                }));
+            }
+            "--help" | "-h" => usage(),
+            other => {
+                eprintln!("unknown flag {other:?}");
+                usage()
+            }
+        }
+    }
+    telemetry_path
+}
 
 fn time_per_call<F: FnMut()>(mut f: F, calls: u32) -> f64 {
     // Warm up.
@@ -27,12 +56,7 @@ fn time_per_call<F: FnMut()>(mut f: F, calls: u32) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let telemetry_path = args
-        .iter()
-        .position(|a| a == "--telemetry")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let telemetry_path = parse_args();
     let jsonl = telemetry_path
         .as_deref()
         .map(|path| JsonlRecorder::create(path).expect("create telemetry stream"));

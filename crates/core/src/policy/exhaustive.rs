@@ -138,7 +138,7 @@ mod tests {
     use crate::system::ChipSystem;
     use hayat_aging::{AgingModel, AgingTable};
     use hayat_floorplan::FloorplanBuilder;
-    use hayat_thermal::ThermalPredictor;
+    use hayat_thermal::{RcNetwork, ThermalPredictor};
     use hayat_units::Years;
     use hayat_variation::ChipPopulation;
     use std::sync::Arc;
@@ -154,12 +154,13 @@ mod tests {
         let population =
             ChipPopulation::generate(&floorplan, &config.variation, 1, 5).expect("generates");
         let chip = population.chips()[0].clone();
-        let predictor = Arc::new(ThermalPredictor::learn(&floorplan, &config.thermal));
+        let network = Arc::new(RcNetwork::new(&floorplan, &config.thermal));
+        let predictor = Arc::new(ThermalPredictor::learn_on(&network));
         let table = Arc::new(AgingTable::generate(
             &AgingModel::paper(config.variation.design_seed),
             &config.table_axes,
         ));
-        ChipSystem::from_parts(floorplan, chip, &config, predictor, table)
+        ChipSystem::from_parts(floorplan, chip, &config, network, predictor, table)
     }
 
     fn ctx(system: &ChipSystem) -> PolicyContext<'_> {

@@ -199,6 +199,7 @@ impl ChipBatch {
 mod tests {
     use super::*;
     use crate::policy::hayat::HayatPolicy;
+    use crate::sim::campaign::Campaign;
     use crate::sim::config::SimulationConfig;
     use crate::system::ChipSystem;
 
@@ -264,6 +265,39 @@ mod tests {
         assert_eq!(per_lane[0], serial[0].epochs);
         assert_eq!(per_lane[1].len(), config.epoch_count() - 1);
         assert_eq!(per_lane[1][0].epoch, 1);
+    }
+
+    #[test]
+    fn campaign_systems_and_the_batch_stepper_share_one_network_and_factor() {
+        let config = SimulationConfig::quick_demo();
+        let campaign = Campaign::new(config.clone()).unwrap();
+        let dt = config.control_period();
+        let mut a = campaign.system_for(0);
+        let mut b = campaign.system_for(1);
+        let network = Arc::clone(a.transient().network());
+        assert!(Arc::ptr_eq(&network, b.transient().network()));
+        let power = vec![Watts::new(4.0); 64];
+        for system in [&mut a, &mut b] {
+            assert!(system.transient().implicit_factor(dt).is_none());
+            system.transient_mut().step(dt, &power);
+        }
+        let factor = a.transient().implicit_factor(dt).unwrap();
+        assert!(Arc::ptr_eq(
+            factor,
+            b.transient().implicit_factor(dt).unwrap()
+        ));
+
+        let engines = (0..2)
+            .map(|chip| {
+                let policy = Box::<HayatPolicy>::default();
+                SimulationEngine::new(campaign.system_for(chip), policy, &config)
+            })
+            .collect();
+        let mut batch = ChipBatch::new(engines);
+        assert!(Arc::ptr_eq(batch.thermal.network(), &network));
+        let _ = batch.run_epoch(0);
+        let lane = batch.engine(0).system().transient();
+        assert!(Arc::ptr_eq(lane.implicit_factor(dt).unwrap(), factor));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::system::{BuildSystemError, ChipSystem};
 use hayat_aging::{AgingModel, AgingTable, TablePath};
 use hayat_floorplan::Floorplan;
 use hayat_telemetry::{NullRecorder, Recorder};
-use hayat_thermal::ThermalPredictor;
+use hayat_thermal::{RcNetwork, ThermalPredictor};
 use hayat_variation::ChipStream;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -61,7 +61,8 @@ impl PolicyKind {
 
 /// A campaign: one configuration evaluated for every chip of the population
 /// under each requested policy, sharing the expensive offline artifacts
-/// (chip sampler, thermal predictor, aging table).
+/// (chip sampler, RC thermal network and its factorizations, thermal
+/// predictor, aging table).
 ///
 /// Chips are *streamed*, not materialized: the campaign holds a seekable
 /// [`ChipStream`] and regenerates any chip index on demand, so memory is
@@ -85,6 +86,7 @@ pub struct Campaign {
     config: SimulationConfig,
     floorplan: Floorplan,
     stream: ChipStream,
+    network: Arc<RcNetwork>,
     predictor: Arc<ThermalPredictor>,
     aging_table: Arc<AgingTable>,
     table_path: TablePath,
@@ -95,7 +97,8 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Builds the shared infrastructure for a campaign.
+    /// Builds the shared infrastructure for a campaign: one RC network,
+    /// which the predictor learns on and every chip's simulator steps on.
     ///
     /// # Errors
     ///
@@ -105,13 +108,15 @@ impl Campaign {
         config.assert_valid();
         let floorplan = config.floorplan();
         let stream = ChipStream::new(&floorplan, &config.variation, config.variation_seed)?;
-        let predictor = Arc::new(ThermalPredictor::learn(&floorplan, &config.thermal));
+        let network = Arc::new(RcNetwork::new(&floorplan, &config.thermal));
+        let predictor = Arc::new(ThermalPredictor::learn_on(&network));
         let aging_model = AgingModel::paper(config.variation.design_seed);
         let aging_table = Arc::new(AgingTable::generate(&aging_model, &config.table_axes));
         Ok(Campaign {
             config,
             floorplan,
             stream,
+            network,
             predictor,
             aging_table,
             table_path: TablePath::default(),
@@ -231,7 +236,8 @@ impl Campaign {
 
     /// Builds the (fresh) system for one chip of the population. The chip is
     /// regenerated on demand from the seekable stream — O(one sample),
-    /// whatever the index.
+    /// whatever the index — and its simulator steps on the campaign's
+    /// shared RC network, so no network is assembled or factorized here.
     ///
     /// # Panics
     ///
@@ -248,6 +254,7 @@ impl Campaign {
             self.floorplan.clone(),
             chip,
             &self.config,
+            Arc::clone(&self.network),
             Arc::clone(&self.predictor),
             Arc::clone(&self.aging_table),
         )

@@ -4,7 +4,7 @@ use crate::sim::config::{SearchPath, SimulationConfig};
 use hayat_aging::{AgingModel, AgingTable, HealthMap, TablePath};
 use hayat_floorplan::{CoreId, Floorplan};
 use hayat_power::{DarkSiliconBudget, PowerModel};
-use hayat_thermal::{ThermalConfig, ThermalPredictor, TransientSimulator};
+use hayat_thermal::{RcNetwork, ThermalConfig, ThermalPredictor, TransientSimulator};
 use hayat_units::Gigahertz;
 use hayat_variation::{Chip, ChipPopulation, VariationError};
 use std::error::Error;
@@ -60,9 +60,11 @@ impl From<VariationError> for BuildSystemError {
 /// table, the power model, the dark-silicon budget, and the mutable health
 /// map and thermal state.
 ///
-/// Heavy, chip-independent artifacts (the learned [`ThermalPredictor`] and
-/// the generated [`AgingTable`]) are shared by `Arc` so a 25-chip campaign
-/// builds them once.
+/// Heavy, chip-independent artifacts (the [`RcNetwork`] with its
+/// factorizations, the learned [`ThermalPredictor`] and the generated
+/// [`AgingTable`]) are shared by `Arc` so a 25-chip campaign builds them
+/// once. The chip's own thermal state is only its simulator's node
+/// temperatures.
 ///
 /// # Example
 ///
@@ -118,29 +120,42 @@ impl ChipSystem {
                 population: population.chips().len(),
             },
         )?;
-        let predictor = Arc::new(ThermalPredictor::learn(&floorplan, &config.thermal));
+        let network = Arc::new(RcNetwork::new(&floorplan, &config.thermal));
+        let predictor = Arc::new(ThermalPredictor::learn_on(&network));
         let aging_model = AgingModel::paper(config.variation.design_seed);
         let aging_table = Arc::new(AgingTable::generate(&aging_model, &config.table_axes));
         Ok(ChipSystem::from_parts(
             floorplan,
             chip,
             config,
+            network,
             predictor,
             aging_table,
         ))
     }
 
-    /// Assembles a system from prebuilt (shared) parts.
+    /// Assembles a system from prebuilt (shared) parts. `network` must be
+    /// built from `floorplan` and `config.thermal`; the chip's simulator
+    /// steps on it without copying or refactorizing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `network` models a different core count than `floorplan`.
     #[must_use]
     pub fn from_parts(
         floorplan: Floorplan,
         chip: Chip,
         config: &SimulationConfig,
+        network: Arc<RcNetwork>,
         predictor: Arc<ThermalPredictor>,
         aging_table: Arc<AgingTable>,
     ) -> Self {
-        let transient =
-            TransientSimulator::with_integrator(&floorplan, &config.thermal, config.integrator);
+        assert_eq!(
+            network.core_count(),
+            floorplan.core_count(),
+            "the RC network must be built from the system's floorplan"
+        );
+        let transient = TransientSimulator::on_network(network, config.integrator);
         let health = HealthMap::fresh(floorplan.core_count());
         let budget = DarkSiliconBudget::new(floorplan.core_count(), config.dark_fraction);
         ChipSystem {
@@ -316,7 +331,8 @@ impl ChipSystem {
     /// operating points, see the `integration_pipeline` contraction test).
     ///
     /// This is the reference the online predictor's one-shot correction
-    /// approximates.
+    /// approximates. Every iteration solves on the system's shared RC
+    /// network through its cached steady-state factor.
     ///
     /// # Panics
     ///
@@ -343,7 +359,7 @@ impl ChipSystem {
         for _ in 0..50 {
             let temp_vec: Vec<_> = self.floorplan.cores().map(|c| temps.core(c)).collect();
             let power = self.power_model.chip_power(states, &factors, &temp_vec);
-            let next = hayat_thermal::steady_state(&self.floorplan, &self.thermal_config, &power);
+            let next = hayat_thermal::steady_state_on(self.transient.network(), &power);
             let delta = (next.max() - temps.max()).abs();
             temps = next;
             if delta < 1e-3 {
@@ -436,6 +452,44 @@ mod tests {
         let one_shot = hayat_thermal::steady_state(s.floorplan(), s.thermal_config(), &p0);
         assert!(fixpoint.max() > one_shot.max());
         assert!(fixpoint.max().value() < 400.0, "no thermal runaway");
+    }
+
+    #[test]
+    fn leakage_fixpoint_on_the_shared_network_matches_a_rebuilt_network_bitwise() {
+        let s = system();
+        let states: Vec<hayat_power::PowerState> = s
+            .floorplan()
+            .cores()
+            .map(|c| match c.index() % 3 {
+                0 => hayat_power::PowerState::Dark,
+                k => hayat_power::PowerState::Active {
+                    dynamic: hayat_units::Watts::new(4.0 + k as f64),
+                },
+            })
+            .collect();
+        // The fixpoint as it was computed before the network was shared:
+        // a fresh network (and factorization) per iteration.
+        let factors: Vec<f64> = s
+            .floorplan()
+            .cores()
+            .map(|c| s.chip().leakage_factor(c))
+            .collect();
+        let mut rebuilt = hayat_thermal::TemperatureMap::uniform(64, s.thermal_config().ambient);
+        for _ in 0..50 {
+            let temp_vec: Vec<_> = s.floorplan().cores().map(|c| rebuilt.core(c)).collect();
+            let power = s.power_model().chip_power(&states, &factors, &temp_vec);
+            let next = hayat_thermal::steady_state(s.floorplan(), s.thermal_config(), &power);
+            let delta = (next.max() - rebuilt.max()).abs();
+            rebuilt = next;
+            if delta < 1e-3 {
+                break;
+            }
+        }
+        let shared = s.steady_state_with_leakage(&states);
+        let bits = |m: &hayat_thermal::TemperatureMap| -> Vec<u64> {
+            m.iter().map(|(_, t)| t.value().to_bits()).collect()
+        };
+        assert_eq!(bits(&shared), bits(&rebuilt));
     }
 
     #[test]

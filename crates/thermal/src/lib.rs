@@ -61,6 +61,6 @@ pub use crate::config::ThermalConfig;
 pub use crate::integrator::Integrator;
 pub use crate::predictor::{PredictorModel, ThermalPredictor, ThreadFootprint};
 pub use crate::profile::TemperatureMap;
-pub use crate::rc_model::RcNetwork;
+pub use crate::rc_model::{ImplicitFactor, RcNetwork};
 pub use crate::steady::{steady_state, steady_state_on};
 pub use crate::transient::{TransientSimulator, TransientSnapshot};

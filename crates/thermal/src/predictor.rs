@@ -21,6 +21,7 @@
 
 use crate::config::ThermalConfig;
 use crate::profile::TemperatureMap;
+use crate::rc_model::RcNetwork;
 use crate::steady::steady_state;
 use hayat_floorplan::{CoreId, Floorplan};
 use hayat_telemetry::{Recorder, RecorderExt, NULL_RECORDER};
@@ -166,58 +167,13 @@ impl ThermalPredictor {
                 PredictorModel::Isotropic => 1,
             },
         );
-        let rises = match model {
+        match model {
             PredictorModel::ResponseMatrix => {
-                let network = crate::rc_model::RcNetwork::new(floorplan, config);
-                let ambient = config.ambient.value();
-                if network.steady_factor_is_banded() {
-                    // Large meshes: gang the unit-power solves so each pass
-                    // over the banded factor serves a block of source cores
-                    // — the difference between minutes and seconds for a
-                    // 64×64 response matrix. Each lane is bit-identical to
-                    // its scalar solve, so the cut-over changes nothing but
-                    // time.
-                    let nn = network.node_count();
-                    const LEARN_BATCH: usize = 32;
-                    let mut injections = Vec::new();
-                    let mut temps = Vec::new();
-                    let mut rises: Vec<Vec<f64>> = Vec::with_capacity(n);
-                    for start in (0..n).step_by(LEARN_BATCH) {
-                        let width = LEARN_BATCH.min(n - start);
-                        injections.clear();
-                        injections.resize(nn * width, 0.0);
-                        for lane in 0..width {
-                            injections[lane * nn + start + lane] = 1.0;
-                        }
-                        network.solve_steady_many_into(&injections, width, &mut temps);
-                        rises.extend((0..width).map(|lane| {
-                            temps[lane * nn..][..n]
-                                .iter()
-                                .map(|&t| t - ambient)
-                                .collect()
-                        }));
-                    }
-                    rises
-                } else {
-                    // One injection buffer and one solution buffer serve all
-                    // `n` unit-power solves: after the first source the
-                    // learning loop never touches the allocator except to
-                    // store the rise rows.
-                    let mut injection = vec![0.0; network.node_count()];
-                    let mut temps = Vec::new();
-                    (0..n)
-                        .map(|src| {
-                            injection[src] = 1.0;
-                            network.solve_steady_into(&injection, &mut temps);
-                            injection[src] = 0.0;
-                            temps[..n].iter().map(|&t| t - ambient).collect()
-                        })
-                        .collect()
-                }
+                ThermalPredictor::learn_on(&RcNetwork::new(floorplan, config))
             }
             PredictorModel::Isotropic => {
                 let footprint = ThreadFootprint::learn(floorplan, config);
-                (0..n)
+                let rises = (0..n)
                     .map(|src| {
                         let src_core = CoreId::new(src);
                         floorplan
@@ -225,13 +181,71 @@ impl ThermalPredictor {
                             .map(|dst| footprint.rise_at(floorplan.mesh_distance(src_core, dst)))
                             .collect()
                     })
-                    .collect()
+                    .collect();
+                ThermalPredictor {
+                    ambient: config.ambient,
+                    rises,
+                    model,
+                }
             }
+        }
+    }
+
+    /// Learns the response-matrix predictor on a prebuilt network — one
+    /// steady-state solve per source core through the network's cached
+    /// factor — so a campaign that also simulates on `network` builds and
+    /// factorizes it once. Bit-identical to [`learn`](Self::learn) on the
+    /// floorplan and configuration the network was built from.
+    #[must_use]
+    pub fn learn_on(network: &RcNetwork) -> Self {
+        let n = network.core_count();
+        let ambient = network.ambient().value();
+        let rises = if network.steady_factor_is_banded() {
+            // Large meshes: gang the unit-power solves so each pass over
+            // the banded factor serves a block of source cores — the
+            // difference between minutes and seconds for a 64×64 response
+            // matrix. Each lane is bit-identical to its scalar solve, so
+            // the cut-over changes nothing but time.
+            let nn = network.node_count();
+            const LEARN_BATCH: usize = 32;
+            let mut injections = Vec::new();
+            let mut temps = Vec::new();
+            let mut rises: Vec<Vec<f64>> = Vec::with_capacity(n);
+            for start in (0..n).step_by(LEARN_BATCH) {
+                let width = LEARN_BATCH.min(n - start);
+                injections.clear();
+                injections.resize(nn * width, 0.0);
+                for lane in 0..width {
+                    injections[lane * nn + start + lane] = 1.0;
+                }
+                network.solve_steady_many_into(&injections, width, &mut temps);
+                rises.extend((0..width).map(|lane| {
+                    temps[lane * nn..][..n]
+                        .iter()
+                        .map(|&t| t - ambient)
+                        .collect()
+                }));
+            }
+            rises
+        } else {
+            // One injection buffer and one solution buffer serve all `n`
+            // unit-power solves: after the first source the learning loop
+            // never touches the allocator except to store the rise rows.
+            let mut injection = vec![0.0; network.node_count()];
+            let mut temps = Vec::new();
+            (0..n)
+                .map(|src| {
+                    injection[src] = 1.0;
+                    network.solve_steady_into(&injection, &mut temps);
+                    injection[src] = 0.0;
+                    temps[..n].iter().map(|&t| t - ambient).collect()
+                })
+                .collect()
         };
         ThermalPredictor {
-            ambient: config.ambient,
+            ambient: network.ambient(),
             rises,
-            model,
+            model: PredictorModel::ResponseMatrix,
         }
     }
 

@@ -4,6 +4,38 @@ use crate::config::ThermalConfig;
 use hayat_floorplan::Floorplan;
 use hayat_linalg::{cholesky, BandedCholeskyFactor, BandedSpdMatrix, SquareMatrix};
 use hayat_units::{Kelvin, Watts};
+use std::sync::{Arc, Mutex};
+
+/// Upper bound on memoized backward-Euler factorizations, per network and
+/// per simulator. Real workloads use one or two distinct step sizes (the
+/// control period, plus possibly a settle window); the cap only guards
+/// against a caller sweeping step sizes.
+pub(crate) const MAX_CACHED_FACTORS: usize = 8;
+
+/// The banded Cholesky factorization of one backward-Euler step `(C/h + G)`
+/// of an [`RcNetwork`], in layer-interleaved order.
+///
+/// A network computes it once per step size and shares it by `Arc` with
+/// every [`TransientSimulator`](crate::TransientSimulator) built on that
+/// network (a [`BatchedTransient`](crate::BatchedTransient) steps through
+/// its first lane's), so a campaign factors its control period once rather
+/// than once per chip.
+#[derive(Debug)]
+pub struct ImplicitFactor {
+    /// `f64::to_bits` of the step size `h`.
+    h_bits: u64,
+    /// Banded Cholesky factor of `(C/h + G)` in layer-interleaved order.
+    pub(crate) factor: BandedCholeskyFactor,
+    /// `C_i/h` per node, banded order (precomputed rhs coefficients).
+    pub(crate) c_over_h: Vec<f64>,
+}
+
+impl ImplicitFactor {
+    /// Whether this factor was assembled for step size `h` (exact bits).
+    pub(crate) fn is_for(&self, h: f64) -> bool {
+        self.h_bits == h.to_bits()
+    }
+}
 
 /// One edge of the conductance graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +84,13 @@ enum SteadyFactor {
 /// once at construction (dense Cholesky; `G` is symmetric positive definite
 /// because every node drains to ambient through the sink), so each
 /// steady-state query is just two triangular solves. The transient
-/// integrator reuses the same edge list for explicit time stepping.
+/// integrator reuses the same edge list for explicit time stepping, and
+/// the network memoizes one [`ImplicitFactor`] per implicit step size.
+///
+/// The network depends only on the floorplan and the thermal
+/// configuration, never on a chip's variation, so a campaign builds one and
+/// shares it by `Arc` between predictor learning and every chip's
+/// simulator.
 ///
 /// # Example
 ///
@@ -64,7 +102,7 @@ enum SteadyFactor {
 /// let net = RcNetwork::new(&fp, &ThermalConfig::paper());
 /// assert_eq!(net.node_count(), 3 * 64);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RcNetwork {
     cores: usize,
     /// Adjacency list per node.
@@ -76,6 +114,14 @@ pub struct RcNetwork {
     ambient: Kelvin,
     /// Cached factorization of the conductance matrix.
     factor: SteadyFactor,
+    /// RC node index per banded (layer-interleaved) position.
+    node_of_banded: Vec<usize>,
+    /// `G_amb·T_amb` per node, banded order (h-independent rhs part of an
+    /// implicit step).
+    ambient_rhs: Vec<f64>,
+    /// Backward-Euler factorizations computed so far, one per step size
+    /// (FIFO-bounded by [`MAX_CACHED_FACTORS`]).
+    implicit: Mutex<Vec<Arc<ImplicitFactor>>>,
 }
 
 impl RcNetwork {
@@ -126,6 +172,7 @@ impl RcNetwork {
         // factor (bit-identical outputs); large ones use the same banded
         // layer-interleaved ordering the implicit stepper relies on, minus
         // the `C/h` diagonal term.
+        let banded_index = |node: usize| (node % n) * 3 + node / n;
         let factor = if n <= DENSE_STEADY_MAX_CORES {
             let mut g = SquareMatrix::zeros(node_count);
             for (i, node_edges) in edges.iter().enumerate() {
@@ -138,7 +185,6 @@ impl RcNetwork {
             }
             SteadyFactor::Dense(cholesky(&g).expect("conductance matrix is positive definite"))
         } else {
-            let banded_index = |node: usize| (node % n) * 3 + node / n;
             let hb = edges
                 .iter()
                 .enumerate()
@@ -167,6 +213,15 @@ impl RcNetwork {
             )
         };
 
+        let mut node_of_banded = vec![0usize; node_count];
+        for node in 0..node_count {
+            node_of_banded[banded_index(node)] = node;
+        }
+        let ambient_rhs = node_of_banded
+            .iter()
+            .map(|&node| g_ambient[node] * config.ambient.value())
+            .collect();
+
         RcNetwork {
             cores: n,
             edges,
@@ -174,6 +229,9 @@ impl RcNetwork {
             capacitance,
             ambient: config.ambient,
             factor,
+            node_of_banded,
+            ambient_rhs,
+            implicit: Mutex::new(Vec::new()),
         }
     }
 
@@ -329,10 +387,51 @@ impl RcNetwork {
         matches!(self.factor, SteadyFactor::Banded(_))
     }
 
-    /// Conductance to ambient of node `i`, W/K (non-zero only for sink
-    /// cells).
-    pub(crate) fn g_ambient(&self, i: usize) -> f64 {
-        self.g_ambient[i]
+    /// RC node index per banded (layer-interleaved) position.
+    pub(crate) fn node_of_banded(&self) -> &[usize] {
+        &self.node_of_banded
+    }
+
+    /// `G_amb·T_amb` per node in banded order: the part of an implicit
+    /// step's right-hand side that depends on neither `h` nor the state.
+    pub(crate) fn ambient_rhs(&self) -> &[f64] {
+        &self.ambient_rhs
+    }
+
+    /// The backward-Euler factorization for step size `h`, assembled and
+    /// factorized on the first request for `h` and shared by every later
+    /// caller (memo keyed by the exact bit pattern of `h`, FIFO-bounded by
+    /// [`MAX_CACHED_FACTORS`]). The lock is held while factorizing, so
+    /// concurrent first requests compute it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `h` is positive and finite.
+    pub(crate) fn implicit_factor(&self, h: f64) -> Arc<ImplicitFactor> {
+        let mut memo = self
+            .implicit
+            .lock()
+            .expect("implicit-factor memo poisoned by a failed factorization");
+        if let Some(entry) = memo.iter().find(|f| f.is_for(h)) {
+            return Arc::clone(entry);
+        }
+        let factor = BandedCholeskyFactor::factorize(&self.implicit_system(h))
+            .expect("backward-Euler system (C/h + G) is positive definite");
+        let c_over_h = self
+            .node_of_banded
+            .iter()
+            .map(|&node| self.capacitance[node] / h)
+            .collect();
+        let entry = Arc::new(ImplicitFactor {
+            h_bits: h.to_bits(),
+            factor,
+            c_over_h,
+        });
+        if memo.len() >= MAX_CACHED_FACTORS {
+            memo.remove(0);
+        }
+        memo.push(Arc::clone(&entry));
+        entry
     }
 
     /// Banded (layer-interleaved) index of RC node `i`: node `layer·N +
@@ -602,11 +701,24 @@ mod tests {
         let m = n.implicit_system(h);
         // Silicon node 0 (banded index 0): diag = ΣG + g_amb + C/h.
         let g_total: f64 = n.edges[0].iter().map(|e| e.g).sum();
-        let expect = g_total + n.g_ambient(0) + n.capacity(0) / h;
+        let expect = g_total + n.g_ambient[0] + n.capacity(0) / h;
         assert!((m.get(0, 0) - expect).abs() < 1e-12);
         // Off-diagonal: silicon 0 ↔ spreader 64 are banded 0 and 1.
         let g_vert = 1.0 / ThermalConfig::paper().r_si_spreader;
         assert!((m.get(1, 0) + g_vert).abs() < 1e-12);
+    }
+
+    #[test]
+    fn implicit_factors_are_memoized_per_step_size_and_bounded() {
+        let n = net();
+        let control = n.implicit_factor(0.0066);
+        assert!(Arc::ptr_eq(&control, &n.implicit_factor(0.0066)));
+        assert!(!Arc::ptr_eq(&control, &n.implicit_factor(0.01)));
+        for i in 1..=20u32 {
+            let _ = n.implicit_factor(0.001 * f64::from(i));
+        }
+        let memo = n.implicit.lock().unwrap();
+        assert_eq!(memo.len(), MAX_CACHED_FACTORS);
     }
 
     #[test]

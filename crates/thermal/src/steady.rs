@@ -42,8 +42,10 @@ pub fn steady_state(
 }
 
 /// Steady-state solve on a prebuilt [`RcNetwork`], avoiding network
-/// reconstruction in inner loops (the run-time system holds one network per
-/// chip for its whole lifetime).
+/// reconstruction and refactorization in inner loops (a campaign builds one
+/// network and shares it with every chip). Bit-identical to
+/// [`steady_state`] on the floorplan and configuration the network was
+/// built from.
 ///
 /// # Panics
 ///

@@ -3,29 +3,12 @@
 use crate::config::ThermalConfig;
 use crate::integrator::Integrator;
 use crate::profile::TemperatureMap;
-use crate::rc_model::RcNetwork;
+use crate::rc_model::{ImplicitFactor, RcNetwork, MAX_CACHED_FACTORS};
 use hayat_floorplan::Floorplan;
-use hayat_linalg::BandedCholeskyFactor;
 use hayat_telemetry::{Recorder, RecorderExt, NULL_RECORDER};
 use hayat_units::{Kelvin, Seconds, Watts};
 use serde::{Deserialize, Serialize};
-
-/// Upper bound on cached backward-Euler factorizations. Real workloads use
-/// one or two distinct step sizes (the control period, plus possibly a
-/// settle window); the cap only guards against a caller sweeping step sizes.
-pub(crate) const MAX_CACHED_FACTORS: usize = 8;
-
-/// One cached backward-Euler factorization, keyed by the exact bit pattern
-/// of the step size it was assembled for.
-#[derive(Debug, Clone)]
-struct ImplicitFactor {
-    /// `f64::to_bits` of the step size `h`.
-    h_bits: u64,
-    /// Banded Cholesky factor of `(C/h + G)` in layer-interleaved order.
-    factor: BandedCholeskyFactor,
-    /// `C_i/h` per node, banded order (precomputed rhs coefficients).
-    c_over_h: Vec<f64>,
-}
+use std::sync::Arc;
 
 /// The complete mutable state of a [`TransientSimulator`], detached from
 /// the (immutable, config-derived) RC network: every node temperature —
@@ -57,6 +40,12 @@ pub struct TransientSnapshot {
 /// size, so advancing by the paper's 6.6 ms control period costs a single
 /// `O(n·b)` substitution regardless of the network's stiffness.
 ///
+/// The [`RcNetwork`] and its factorizations are immutable and shared by
+/// `Arc`: simulators built with [`on_network`](Self::on_network) on one
+/// network step through the same [`ImplicitFactor`], computed once. A
+/// simulator adds only its node temperatures, a solve buffer, and a local
+/// (lock-free) list of the factors it has stepped with.
+///
 /// [`TransientSimulator::new`] builds the **explicit** oracle (preserving
 /// the original scheme for cross-validation); production callers select
 /// the integrator with [`TransientSimulator::with_integrator`] — the
@@ -78,17 +67,15 @@ pub struct TransientSnapshot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TransientSimulator {
-    network: RcNetwork,
+    network: Arc<RcNetwork>,
     /// Per-node temperatures (silicon, spreader, sink), kelvin.
     node_temps: Vec<f64>,
     elapsed: f64,
     integrator: Integrator,
-    /// RC node index per banded (layer-interleaved) position.
-    node_of_banded: Vec<usize>,
-    /// `G_amb·T_amb` per node, banded order (h-independent rhs part).
-    ambient_rhs: Vec<f64>,
-    /// Cached backward-Euler factorizations, one per step size seen.
-    factors: Vec<ImplicitFactor>,
+    /// The network's backward-Euler factorizations this simulator has
+    /// stepped with, one per step size: a local view of the network's memo
+    /// that later steps search without taking its lock.
+    factors: Vec<Arc<ImplicitFactor>>,
     /// Reusable rhs/solution buffer for the implicit solve, banded order.
     scratch: Vec<f64>,
 }
@@ -119,26 +106,44 @@ impl TransientSimulator {
         config: &ThermalConfig,
         integrator: Integrator,
     ) -> Self {
-        let network = RcNetwork::new(floorplan, config);
+        TransientSimulator::on_network(Arc::new(RcNetwork::new(floorplan, config)), integrator)
+    }
+
+    /// Creates a simulator with every node at ambient temperature on a
+    /// prebuilt, shared network. Building one performs no factorization:
+    /// the first backward-Euler step at a given size takes the network's
+    /// memoized factor (computing it if no simulator on this network has
+    /// yet), so every chip of a campaign steps through one factorization.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hayat_floorplan::Floorplan;
+    /// use hayat_thermal::{Integrator, RcNetwork, ThermalConfig, TransientSimulator};
+    /// use hayat_units::{Seconds, Watts};
+    /// use std::sync::Arc;
+    ///
+    /// let fp = Floorplan::paper_8x8();
+    /// let network = Arc::new(RcNetwork::new(&fp, &ThermalConfig::paper()));
+    /// let mut a = TransientSimulator::on_network(Arc::clone(&network), Integrator::BackwardEuler);
+    /// let mut b = TransientSimulator::on_network(network, Integrator::BackwardEuler);
+    /// let dt = Seconds::new(0.0066);
+    /// let power = vec![Watts::new(4.0); fp.core_count()];
+    /// a.step(dt, &power);
+    /// b.step(dt, &power);
+    /// let (fa, fb) = (a.implicit_factor(dt).unwrap(), b.implicit_factor(dt).unwrap());
+    /// assert!(Arc::ptr_eq(fa, fb));
+    /// ```
+    #[must_use]
+    pub fn on_network(network: Arc<RcNetwork>, integrator: Integrator) -> Self {
         let node_count = network.node_count();
-        let node_temps = vec![network.ambient().value(); node_count];
-        let mut node_of_banded = vec![0usize; node_count];
-        for node in 0..node_count {
-            node_of_banded[network.banded_index(node)] = node;
-        }
-        let ambient_rhs = node_of_banded
-            .iter()
-            .map(|&node| network.g_ambient(node) * network.ambient().value())
-            .collect();
         TransientSimulator {
-            network,
-            node_temps,
+            node_temps: vec![network.ambient().value(); node_count],
             elapsed: 0.0,
             integrator,
-            node_of_banded,
-            ambient_rhs,
             factors: Vec::new(),
             scratch: vec![0.0; node_count],
+            network,
         }
     }
 
@@ -191,10 +196,18 @@ impl TransientSimulator {
         Seconds::new(self.elapsed)
     }
 
-    /// The RC network this simulator integrates over (for the batched
-    /// lockstep stepper, which clones it to share one factor cache).
-    pub(crate) fn network(&self) -> &RcNetwork {
+    /// The shared RC network this simulator integrates over.
+    #[must_use]
+    pub const fn network(&self) -> &Arc<RcNetwork> {
         &self.network
+    }
+
+    /// The backward-Euler factorization this simulator steps by `dt`
+    /// with, once it has taken such a step (`None` before, and always under
+    /// forward Euler). Simulators on one network hold the same `Arc`.
+    #[must_use]
+    pub fn implicit_factor(&self, dt: Seconds) -> Option<&Arc<ImplicitFactor>> {
+        self.factors.iter().find(|f| f.is_for(dt.value()))
     }
 
     /// Raw per-node temperatures in network order (cores first).
@@ -293,45 +306,44 @@ impl TransientSimulator {
         let idx = self.ensure_factor(h);
         let cores = self.network.core_count();
         let entry = &self.factors[idx];
-        for (k, &node) in self.node_of_banded.iter().enumerate() {
+        for (k, (&node, &ambient)) in self
+            .network
+            .node_of_banded()
+            .iter()
+            .zip(self.network.ambient_rhs())
+            .enumerate()
+        {
             let injection = if node < cores {
                 core_power[node].value()
             } else {
                 0.0
             };
-            self.scratch[k] =
-                entry.c_over_h[k] * self.node_temps[node] + self.ambient_rhs[k] + injection;
+            self.scratch[k] = entry.c_over_h[k] * self.node_temps[node] + ambient + injection;
         }
         entry.factor.solve_in_place(&mut self.scratch);
-        for (k, &node) in self.node_of_banded.iter().enumerate() {
+        for (k, &node) in self.network.node_of_banded().iter().enumerate() {
             self.node_temps[node] = self.scratch[k];
         }
     }
 
-    /// Index of the cached factorization for step size `h`, assembling and
-    /// factorizing `(C/h + G)` on first use (cache keyed by the exact bit
-    /// pattern of `h`, bounded by [`MAX_CACHED_FACTORS`]).
+    /// The factorization for step size `h`, for the batched stepper, which
+    /// solves every lane through its first lane's factor.
+    pub(crate) fn step_factor(&mut self, h: f64) -> &ImplicitFactor {
+        let idx = self.ensure_factor(h);
+        &self.factors[idx]
+    }
+
+    /// Index into the local factor list of the factorization for step size
+    /// `h`, taking it from the network's shared memo on first use (list
+    /// bounded by [`MAX_CACHED_FACTORS`]).
     fn ensure_factor(&mut self, h: f64) -> usize {
-        let h_bits = h.to_bits();
-        if let Some(i) = self.factors.iter().position(|f| f.h_bits == h_bits) {
+        if let Some(i) = self.factors.iter().position(|f| f.is_for(h)) {
             return i;
         }
-        let system = self.network.implicit_system(h);
-        let factor = BandedCholeskyFactor::factorize(&system)
-            .expect("backward-Euler system (C/h + G) is positive definite");
-        let c_over_h = self
-            .node_of_banded
-            .iter()
-            .map(|&node| self.network.capacity(node) / h)
-            .collect();
         if self.factors.len() >= MAX_CACHED_FACTORS {
             self.factors.remove(0);
         }
-        self.factors.push(ImplicitFactor {
-            h_bits,
-            factor,
-            c_over_h,
-        });
+        self.factors.push(self.network.implicit_factor(h));
         self.factors.len() - 1
     }
 
@@ -702,6 +714,34 @@ mod tests {
             "cache grew to {} entries",
             sim.factors.len()
         );
+    }
+
+    #[test]
+    fn simulators_on_one_network_share_its_factor_bit_identically() {
+        // A shared network changes where the factor lives, never the
+        // trajectory: each simulator must match one with a private network.
+        let (fp, cfg) = setup();
+        let network = Arc::new(RcNetwork::new(&fp, &cfg));
+        let mut shared: Vec<TransientSimulator> = (0..2)
+            .map(|_| {
+                TransientSimulator::on_network(Arc::clone(&network), Integrator::BackwardEuler)
+            })
+            .collect();
+        let mut private = TransientSimulator::with_integrator(&fp, &cfg, Integrator::BackwardEuler);
+        let dt = Seconds::new(0.0066);
+        let power = vec![Watts::new(4.5); 64];
+        assert!(shared[0].implicit_factor(dt).is_none(), "built unfactored");
+        for _ in 0..3 {
+            private.step(dt, &power);
+            for sim in &mut shared {
+                sim.step(dt, &power);
+                assert_eq!(sim.snapshot(), private.snapshot());
+            }
+        }
+        let factor = shared[0].implicit_factor(dt).unwrap();
+        assert!(Arc::ptr_eq(factor, shared[1].implicit_factor(dt).unwrap()));
+        assert!(Arc::ptr_eq(factor, &network.implicit_factor(dt.value())));
+        assert!(!Arc::ptr_eq(factor, private.implicit_factor(dt).unwrap()));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use hayat::{
 };
 use hayat_aging::{AgingModel, AgingTable};
 use hayat_floorplan::FloorplanBuilder;
-use hayat_thermal::ThermalPredictor;
+use hayat_thermal::{RcNetwork, ThermalPredictor};
 use hayat_units::Years;
 use hayat_variation::ChipPopulation;
 use hayat_workload::WorkloadMix;
@@ -23,12 +23,13 @@ fn system_on(rows: usize, cols: usize, dark: f64) -> ChipSystem {
     let population =
         ChipPopulation::generate(&floorplan, &config.variation, 1, 11).expect("generates");
     let chip = population.chips()[0].clone();
-    let predictor = Arc::new(ThermalPredictor::learn(&floorplan, &config.thermal));
+    let network = Arc::new(RcNetwork::new(&floorplan, &config.thermal));
+    let predictor = Arc::new(ThermalPredictor::learn_on(&network));
     let table = Arc::new(AgingTable::generate(
         &AgingModel::paper(config.variation.design_seed),
         &config.table_axes,
     ));
-    ChipSystem::from_parts(floorplan, chip, &config, predictor, table)
+    ChipSystem::from_parts(floorplan, chip, &config, network, predictor, table)
 }
 
 fn ctx(system: &ChipSystem) -> PolicyContext<'_> {
@@ -61,7 +62,8 @@ fn one_dimensional_chip_simulates_a_full_lifetime() {
         .expect("valid mesh");
     let population =
         ChipPopulation::generate(&floorplan, &config.variation, 1, 3).expect("generates");
-    let predictor = Arc::new(ThermalPredictor::learn(&floorplan, &config.thermal));
+    let network = Arc::new(RcNetwork::new(&floorplan, &config.thermal));
+    let predictor = Arc::new(ThermalPredictor::learn_on(&network));
     let table = Arc::new(AgingTable::generate(
         &AgingModel::paper(config.variation.design_seed),
         &config.table_axes,
@@ -70,6 +72,7 @@ fn one_dimensional_chip_simulates_a_full_lifetime() {
         floorplan,
         population.chips()[0].clone(),
         &config,
+        network,
         predictor,
         table,
     );

@@ -2,7 +2,7 @@
 //! evaluation must reproduce every qualitative result of Section VI.
 
 use hayat::sim::campaign::PolicyKind;
-use hayat::{Campaign, SimulationConfig};
+use hayat::{Campaign, ChipSystem, SimulationConfig, SimulationEngine};
 
 /// A small but real campaign: 3 chips, 4 years in 6-month epochs.
 fn small_campaign(dark: f64) -> Campaign {
@@ -86,6 +86,32 @@ fn campaign_is_deterministic() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn runs_on_the_shared_network_match_systems_that_build_their_own() {
+    // `Campaign::run_one` steps every chip on the campaign's one RC network
+    // and factorization; `ChipSystem::paper_chip` builds private ones.
+    // Sharing must not move a bit.
+    for mesh in [(8, 8), (3, 5)] {
+        let config = SimulationConfig {
+            mesh,
+            ..SimulationConfig::quick_demo()
+        };
+        let campaign = Campaign::new(config.clone()).expect("configuration is valid");
+        for kind in [PolicyKind::Vaa, PolicyKind::Hayat] {
+            let chip = 1;
+            let system = ChipSystem::paper_chip(chip, &config).expect("system builds");
+            let policy = kind.instantiate(config.workload_seed ^ chip as u64);
+            let private = SimulationEngine::new(system, policy, &config).run();
+            assert_eq!(
+                campaign.run_one(kind, chip),
+                private,
+                "{} on {mesh:?}",
+                kind.name()
+            );
+        }
+    }
 }
 
 #[test]

@@ -70,7 +70,9 @@ fn crash_at_chip_boundary_skips_completed_runs_verbatim() {
     // Fault at the third job: both Hayat chips are already durable. Serial
     // jobs pin which runs are durable when the fault fires — with more
     // workers the later jobs would already be in flight and be abandoned,
-    // making the skipped-run count scheduling-dependent.
+    // making the skipped-run count scheduling-dependent. The resume is
+    // serial for the same reason: with two workers, how many checkpoint
+    // writes it makes depends on which of the last two runs finishes first.
     let interrupted = Checkpointer::new(&path)
         .jobs(Jobs::serial())
         .with_failpoint(FailPoint::armed(FAILPOINT_CHIP, 3, FailMode::Error))
@@ -79,6 +81,7 @@ fn crash_at_chip_boundary_skips_completed_runs_verbatim() {
 
     let recorder = Arc::new(MemoryRecorder::new());
     let resumed = Checkpointer::new(&path)
+        .jobs(Jobs::serial())
         .with_recorder(recorder.clone())
         .resume(&campaign)
         .unwrap();
