@@ -14,11 +14,10 @@
 //! **batched kernels** section driving 64 chips through the lockstep
 //! [`ChipBatch`] data path at widths 1/8/64 and gating the per-chip
 //! decision+thermal throughput gain at batch 64 at 1.5x or better, plus a
-//! **scheduler** section racing the static shared-cursor schedule against
-//! the work-stealing one at `--jobs 1/2/4` on a skewed-cost campaign
-//! (every fourth chip busy-spins 9x longer in the run gate), checking
-//! byte-identity of the two schedules' output before timing anything and
-//! recording steal counters plus per-worker busy-time utilization, plus a
+//! **scheduler** section sweeping the shared claim cursor over `--jobs
+//! 1/2/4` on a skewed-cost campaign (every fourth chip busy-spins 9x
+//! longer in the run gate) and recording per-worker busy-time
+//! utilization, plus a
 //! **large floorplan** section sweeping the mesh through 8×8 / 16×16 /
 //! 32×32 (and 64×64 under `--full`) and racing the tiled candidate index
 //! against the exhaustive scan on one aged-chip Hayat decision per size,
@@ -61,8 +60,8 @@
 
 use hayat::{
     Campaign, ChipBatch, ChipSystem, ExecutorOptions, FleetAccumulator, GateSite, HayatPolicy,
-    Jobs, Policy, PolicyContext, PolicyScratch, RunDescriptor, RunMetrics, RunUpdate, Schedule,
-    SearchPath, SimulationConfig, SimulationEngine,
+    Jobs, Policy, PolicyContext, PolicyScratch, RunDescriptor, RunMetrics, RunUpdate, SearchPath,
+    SimulationConfig, SimulationEngine,
 };
 use hayat_aging::{AgeCurveScratch, TablePath};
 use hayat_floorplan::Floorplan;
@@ -157,22 +156,18 @@ struct CampaignScaling {
     speedup_at_4_jobs: Option<f64>,
 }
 
-/// One jobs point of the scheduler race: the same skewed campaign under
-/// the static shared-cursor schedule and the work-stealing schedule.
+/// One jobs point of the scheduler sweep: the skewed campaign on the
+/// shared claim cursor.
 #[derive(Serialize)]
 struct SchedulerPoint {
     jobs: usize,
     static_wall_seconds: f64,
-    steal_wall_seconds: f64,
-    /// `static / steal` — 1.0 means parity, above 1.0 means steal won.
-    steal_vs_static: f64,
 }
 
-/// Per-worker busy-time spread for one schedule at the sweep's widest
-/// jobs point, from the `campaign.worker_busy_seconds` gauge.
+/// Per-worker busy-time spread at the sweep's widest jobs point, from the
+/// `campaign.worker_busy_seconds` gauge.
 #[derive(Serialize)]
 struct WorkerUtilization {
-    schedule: String,
     jobs: usize,
     wall_seconds: f64,
     /// Least-loaded worker's busy time over pool wall time.
@@ -181,16 +176,12 @@ struct WorkerUtilization {
     max_busy_fraction: f64,
 }
 
-/// The static-vs-steal schedule race on a skewed-cost campaign.
+/// The shared claim cursor on a skewed-cost campaign.
 ///
-/// The honest expectation is **parity**, not a steal win: the static
-/// schedule's shared cursor is already a greedy pull at claim granularity,
-/// which is near-optimal when every worker draws from one queue. What the
-/// section demonstrates is that stealing (a) rebalances the block
-/// partition it starts from — the steal counters prove work actually
-/// moved — and (b) costs nothing over static while doing so. The
-/// `ci/scaling_gate.py` gate holds steal within 5% of static and requires
-/// the jobs-4 speedup floor on multi-core runners.
+/// The cursor is a greedy pull at claim granularity: a worker that
+/// finishes early takes the next claim, so the heavy chips spread across
+/// workers without any per-worker queue. `ci/scaling_gate.py` requires the
+/// jobs-4 speedup floor on multi-core runners.
 #[derive(Serialize)]
 struct SchedulerSection {
     /// What the race runs: a fixed small campaign with gate-injected skew.
@@ -199,28 +190,16 @@ struct SchedulerSection {
     /// How run cost is skewed across chips (via the executor's run gate).
     skew: String,
     host_parallelism: usize,
-    /// Byte-level equality of the steal-schedule and static-schedule
-    /// campaign JSON at 4 jobs, checked before timing — the same property
-    /// the CI determinism gate enforces across schedules.
-    deterministic_across_schedules: bool,
-    /// `campaign.steals` under the steal schedule at the widest jobs
-    /// point: claims that actually moved between worker deques.
-    steals_at_4_jobs: u64,
-    /// `campaign.steal_fails` — empty victims probed while scanning.
-    steal_fails_at_4_jobs: u64,
     /// `Some(reason)` when the timing sweep was skipped (single-CPU host;
-    /// mirrors the campaign-scaling section). The determinism check and
-    /// steal counters above still run — they are correctness properties.
+    /// mirrors the campaign-scaling section).
     sweep_skipped: Option<String>,
     points: Vec<SchedulerPoint>,
-    /// Static-schedule jobs-1 wall over jobs-4 wall; `None` when skipped.
+    /// Jobs-1 wall over jobs-4 wall; `None` when skipped.
     static_speedup_at_4_jobs: Option<f64>,
-    /// Steal-schedule jobs-1 wall over jobs-4 wall; `None` when skipped.
-    steal_speedup_at_4_jobs: Option<f64>,
-    /// Busy-time spread per schedule at 4 jobs (recorded even when the
-    /// timing sweep is skipped; on a single-CPU host the fractions reflect
-    /// timesharing, not placement).
-    utilization: Vec<WorkerUtilization>,
+    /// Busy-time spread at 4 jobs (recorded even when the timing sweep is
+    /// skipped; on a single-CPU host the fractions reflect timesharing,
+    /// not placement).
+    utilization: WorkerUtilization,
 }
 
 /// Fast-vs-oracle timings of one Hayat epoch decision on an aged chip —
@@ -907,7 +886,7 @@ fn batched_kernels(fast: bool) -> BatchedKernels {
     }
 }
 
-/// Skew unit injected by the scheduler race's run gate: heavy chips spin
+/// Skew unit injected by the scheduler sweep's run gate: heavy chips spin
 /// nine of these before their run starts, light chips one.
 const SCHED_SPIN: Duration = Duration::from_micros(1500);
 
@@ -919,9 +898,7 @@ fn spin_for(duration: Duration) {
     }
 }
 
-/// Per-chip skew weight: every fourth chip is a 9x-cost outlier, so every
-/// worker's initial block partition holds exactly one heavy claim except
-/// the last, whose light block drains first and forces real steals.
+/// Per-chip skew weight: every fourth chip is a 9x-cost outlier.
 fn sched_skew_weight(chip: usize) -> u32 {
     if chip.is_multiple_of(4) {
         9
@@ -930,13 +907,11 @@ fn sched_skew_weight(chip: usize) -> u32 {
     }
 }
 
-/// Runs the skewed campaign under one schedule and returns the canonical
-/// per-run metrics (the byte-comparable campaign output).
+/// Runs the skewed campaign and returns the canonical per-run metrics.
 fn run_skewed(
     campaign: &Campaign,
     descriptors: &[RunDescriptor],
     jobs: Jobs,
-    schedule: Schedule,
     recorder: &Arc<dyn Recorder>,
 ) -> Vec<RunMetrics> {
     let gate = |site: GateSite, run: &RunDescriptor| -> Result<(), hayat::DynError> {
@@ -952,7 +927,6 @@ fn run_skewed(
             None,
             &ExecutorOptions {
                 jobs,
-                schedule,
                 gate: Some(&gate),
                 ..ExecutorOptions::default()
             },
@@ -970,8 +944,8 @@ fn run_skewed(
         .collect()
 }
 
-/// Races the static schedule against work stealing on the skewed campaign,
-/// after checking the two schedules' output is byte-identical.
+/// Sweeps the shared claim cursor over `--jobs 1/2/4` on the skewed
+/// campaign and records the busy-time spread at 4 jobs.
 fn scheduler_section(fast: bool) -> SchedulerSection {
     let mut config = SimulationConfig::quick_demo();
     config.chip_count = 12;
@@ -985,123 +959,64 @@ fn scheduler_section(fast: bool) -> SchedulerSection {
     let null: Arc<dyn Recorder> = Arc::new(NullRecorder);
     let four = Jobs::new(4).expect("4 is positive");
 
-    let static_runs = run_skewed(&campaign, &descriptors, four, Schedule::Static, &null);
-    let steal_runs = run_skewed(&campaign, &descriptors, four, Schedule::Steal, &null);
-    let deterministic = serde_json::to_string(&static_runs).expect("serializable")
-        == serde_json::to_string(&steal_runs).expect("serializable");
-    assert!(
-        deterministic,
-        "steal-schedule campaign diverged from static — the schedule leaked into results"
-    );
-
-    // Steal counters and busy-time spread at the widest jobs point, one
-    // instrumented run per schedule.
-    let mut utilization = Vec::new();
-    let mut steals_at_4_jobs = 0;
-    let mut steal_fails_at_4_jobs = 0;
-    for schedule in [Schedule::Static, Schedule::Steal] {
-        let memory = Arc::new(MemoryRecorder::new());
-        let recorder: Arc<dyn Recorder> = memory.clone();
-        let t0 = Instant::now();
-        std::hint::black_box(run_skewed(
-            &campaign,
-            &descriptors,
-            four,
-            schedule,
-            &recorder,
-        ));
-        let wall = t0.elapsed().as_secs_f64();
-        let summary = memory.summary();
-        if schedule == Schedule::Steal {
-            steals_at_4_jobs = summary.counter_total("campaign.steals").unwrap_or(0);
-            steal_fails_at_4_jobs = summary.counter_total("campaign.steal_fails").unwrap_or(0);
-        }
-        let (min_busy, max_busy) = summary
-            .gauge("campaign.worker_busy_seconds")
-            .map_or((0.0, 0.0), |g| (g.min, g.max));
-        utilization.push(WorkerUtilization {
-            schedule: schedule.to_string(),
-            jobs: four.get(),
-            wall_seconds: wall,
-            min_busy_fraction: min_busy / wall,
-            max_busy_fraction: max_busy / wall,
-        });
-    }
+    let memory = Arc::new(MemoryRecorder::new());
+    let recorder: Arc<dyn Recorder> = memory.clone();
+    let t0 = Instant::now();
+    std::hint::black_box(run_skewed(&campaign, &descriptors, four, &recorder));
+    let wall = t0.elapsed().as_secs_f64();
+    let (min_busy, max_busy) = memory
+        .summary()
+        .gauge("campaign.worker_busy_seconds")
+        .map_or((0.0, 0.0), |g| (g.min, g.max));
+    let utilization = WorkerUtilization {
+        jobs: four.get(),
+        wall_seconds: wall,
+        min_busy_fraction: min_busy / wall,
+        max_busy_fraction: max_busy / wall,
+    };
 
     let sweep_skipped = (host_parallelism == 1).then(|| {
-        "host parallelism is 1: every schedule point would be a flat host artifact, \
+        "host parallelism is 1: every jobs point would be a flat host artifact, \
          not a scheduler property"
             .to_owned()
     });
     let mut points = Vec::new();
     let mut static_speedup_at_4_jobs = None;
-    let mut steal_speedup_at_4_jobs = None;
     if sweep_skipped.is_none() {
         let reps = if fast { 2 } else { 5 };
         for jobs in [1usize, 2, 4] {
             let jobs_v = Jobs::new(jobs).expect("positive");
-            let static_wall = time_best(
+            let static_wall_seconds = time_best(
                 || {
-                    std::hint::black_box(run_skewed(
-                        &campaign,
-                        &descriptors,
-                        jobs_v,
-                        Schedule::Static,
-                        &null,
-                    ));
-                },
-                reps,
-            );
-            let steal_wall = time_best(
-                || {
-                    std::hint::black_box(run_skewed(
-                        &campaign,
-                        &descriptors,
-                        jobs_v,
-                        Schedule::Steal,
-                        &null,
-                    ));
+                    std::hint::black_box(run_skewed(&campaign, &descriptors, jobs_v, &null));
                 },
                 reps,
             );
             points.push(SchedulerPoint {
                 jobs,
-                static_wall_seconds: static_wall,
-                steal_wall_seconds: steal_wall,
-                steal_vs_static: static_wall / steal_wall,
+                static_wall_seconds,
             });
         }
         static_speedup_at_4_jobs =
             Some(points[0].static_wall_seconds / points[2].static_wall_seconds);
-        steal_speedup_at_4_jobs = Some(points[0].steal_wall_seconds / points[2].steal_wall_seconds);
     }
 
     println!(
         "  scheduler ({} chips x Hayat, every 4th chip 9x cost, host parallelism {}):",
         config.chip_count, host_parallelism
     );
-    println!(
-        "    schedules byte-identical at 4 jobs; {steals_at_4_jobs} steals, \
-         {steal_fails_at_4_jobs} empty probes"
-    );
     if let Some(reason) = &sweep_skipped {
-        println!("    schedule sweep skipped: {reason}");
+        println!("    jobs sweep skipped: {reason}");
     }
     for p in &points {
-        println!(
-            "    jobs {}: static {:7.3} s, steal {:7.3} s  (steal/static {:.2}x)",
-            p.jobs, p.static_wall_seconds, p.steal_wall_seconds, p.steal_vs_static
-        );
+        println!("    jobs {}: {:7.3} s", p.jobs, p.static_wall_seconds);
     }
-    for u in &utilization {
-        println!(
-            "    busy spread at {} jobs ({}): {:.0}%..{:.0}% of wall",
-            u.jobs,
-            u.schedule,
-            u.min_busy_fraction * 100.0,
-            u.max_busy_fraction * 100.0
-        );
-    }
+    println!(
+        "    busy spread at {} jobs: {:.0}%..{:.0}% of wall",
+        utilization.jobs,
+        utilization.min_busy_fraction * 100.0,
+        utilization.max_busy_fraction * 100.0
+    );
 
     SchedulerSection {
         config: "quick_demo, 12 chips x Hayat, 1 quarter-year epoch, 0.1 s transient window"
@@ -1113,13 +1028,9 @@ fn scheduler_section(fast: bool) -> SchedulerSection {
             9, SCHED_SPIN
         ),
         host_parallelism,
-        deterministic_across_schedules: deterministic,
-        steals_at_4_jobs,
-        steal_fails_at_4_jobs,
         sweep_skipped,
         points,
         static_speedup_at_4_jobs,
-        steal_speedup_at_4_jobs,
         utilization,
     }
 }

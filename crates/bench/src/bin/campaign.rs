@@ -36,7 +36,7 @@ use std::time::Duration;
 use hayat::sim::campaign::PolicyKind;
 use hayat::{
     Batch, Campaign, CampaignResult, DynError, FleetAccumulator, Jobs, Pinning, ProgressOptions,
-    RunMetrics, Schedule, SearchPath, SimulationConfig,
+    RunMetrics, SearchPath, SimulationConfig,
 };
 use hayat_aging::TablePath;
 use hayat_bench::env_default;
@@ -65,7 +65,6 @@ struct Args {
     resume_path: Option<String>,
     jobs: Jobs,
     batch: Batch,
-    schedule: Schedule,
     pin: Pinning,
     table_path: TablePath,
     search_path: SearchPath,
@@ -81,8 +80,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: campaign [--dark F] [--chips N] [--years Y] [--epoch Y] \
          [--window S] [--seed N] [--mesh N] [--floorplan RxC] \
-         [--jobs N|auto] [--batch N] \
-         [--schedule static|steal] [--pin none|cores] \
+         [--jobs N|auto] [--batch N] [--pin none|cores] \
          [--table-path fast|oracle] [--search-path tiled|exhaustive] \
          [--policies vaa,hayat,coolest,random] [--csv DIR] [--json FILE] \
          [--telemetry FILE.jsonl] [--fleet-stats FILE.json] \
@@ -100,13 +98,10 @@ fn usage() -> ! {
          \n\
          --jobs sets the worker-thread count (default: all hardware \
          threads); output is byte-identical for every value, including 1. \
-         --schedule selects how workers claim work: one shared cursor \
-         (static, default) or per-worker deques with work stealing (steal, \
-         better under skewed per-run cost); --pin pins worker W to core \
-         W mod cores. Both are pure execution knobs — output is \
-         byte-identical for every combination. The HAYAT_JOBS, \
-         HAYAT_SCHEDULE, and HAYAT_PIN environment variables set the \
-         defaults; the flags override them. \
+         --pin pins worker W to core W mod cores, a pure execution knob \
+         — output is byte-identical either way. The HAYAT_JOBS and \
+         HAYAT_PIN environment variables set the defaults; the flags \
+         override them. \
          --batch runs N consecutive chips in lockstep per worker claim \
          through the batched SoA thermal/policy kernels (default 1); like \
          --jobs it is a pure execution knob — output is byte-identical for \
@@ -201,7 +196,6 @@ fn parse_args() -> Args {
         resume_path: None,
         jobs: env_default(Jobs::from_env),
         batch: Batch::serial(),
-        schedule: env_default(Schedule::from_env),
         pin: env_default(Pinning::from_env),
         table_path: TablePath::default(),
         search_path: SearchPath::default(),
@@ -251,12 +245,6 @@ fn parse_args() -> Args {
             }
             "--batch" => {
                 args.batch = value("--batch").parse().unwrap_or_else(|msg| {
-                    eprintln!("{msg}");
-                    usage()
-                });
-            }
-            "--schedule" => {
-                args.schedule = value("--schedule").parse().unwrap_or_else(|msg| {
                     eprintln!("{msg}");
                     usage()
                 });
@@ -453,7 +441,6 @@ fn run_fleet(
         });
         let mut runner = ShardedCheckpointer::new(path)
             .jobs(args.jobs)
-            .schedule(args.schedule)
             .pinning(args.pin)
             .with_failpoint(failpoint)
             .shard_runs(args.shard_runs.expect("validated by parse_args"))
@@ -591,7 +578,6 @@ fn main() {
         .with_table_path(args.table_path)
         .with_search_path(args.search_path)
         .with_batch(args.batch)
-        .with_schedule(args.schedule)
         .with_pinning(args.pin);
     if let Some((kind, chip)) = args.replay {
         replay_run(&campaign, kind, chip);
@@ -601,7 +587,7 @@ fn main() {
     let config = campaign.config();
     println!(
         "campaign: {}x{} mesh, {} chips{}, {:.0}% dark, {} years in {}-year epochs, \
-         policies {:?}, {} jobs, batch {}, schedule {}, pin {}",
+         policies {:?}, {} jobs, batch {}, pin {}",
         config.mesh.0,
         config.mesh.1,
         config.chip_count,
@@ -616,7 +602,6 @@ fn main() {
         args.policies,
         args.jobs,
         args.batch,
-        args.schedule,
         args.pin
     );
     let recorder = args
@@ -647,7 +632,6 @@ fn main() {
         let outcome = if let Some(shard_runs) = args.shard_runs {
             let mut runner = ShardedCheckpointer::new(path)
                 .jobs(args.jobs)
-                .schedule(args.schedule)
                 .pinning(args.pin)
                 .with_failpoint(failpoint)
                 .shard_runs(shard_runs);
@@ -672,7 +656,6 @@ fn main() {
         } else {
             let mut runner = Checkpointer::new(path)
                 .jobs(args.jobs)
-                .schedule(args.schedule)
                 .pinning(args.pin)
                 .with_failpoint(failpoint);
             if let Some(every) = args.every {

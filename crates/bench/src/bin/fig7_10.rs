@@ -17,14 +17,13 @@
 //!
 //! `--jobs N|auto` (default `auto` = available parallelism) runs the
 //! campaign grid on N worker threads; output is byte-identical for any N.
-//! `--schedule static|steal` selects how workers claim work, `--pin
-//! none|cores` pins workers to cores, `--batch N` runs N consecutive
-//! chips in lockstep per worker claim through the batched SoA kernels,
-//! and `--search-path tiled|exhaustive` selects the policies' candidate
-//! search (tiled branch-and-bound index vs the oracle scan it prunes) —
-//! all pure execution knobs with byte-identical output. The `HAYAT_JOBS`,
-//! `HAYAT_SCHEDULE`, and `HAYAT_PIN` environment variables set the
-//! defaults; flags override.
+//! `--pin none|cores` pins workers to cores, `--batch N` runs N
+//! consecutive chips in lockstep per worker claim through the batched SoA
+//! kernels, and `--search-path tiled|exhaustive` selects the policies'
+//! candidate search (tiled branch-and-bound index vs the oracle scan it
+//! prunes) — all pure execution knobs with byte-identical output. The
+//! `HAYAT_JOBS` and `HAYAT_PIN` environment variables set the defaults;
+//! flags override.
 //!
 //! `--floorplan RxC` swaps the paper's 8×8 die for an R-row × C-column
 //! mesh (e.g. `32x32`) to exercise the large-floorplan decision path.
@@ -50,8 +49,7 @@ use std::sync::{Arc, Mutex};
 
 use hayat::sim::campaign::PolicyKind;
 use hayat::{
-    Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, Pinning, Schedule, SearchPath,
-    SimulationConfig,
+    Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, Pinning, SearchPath, SimulationConfig,
 };
 use hayat_bench::{bar_row, env_default, section};
 use hayat_checkpoint::{Checkpointer, FailPoint};
@@ -74,7 +72,6 @@ struct Args {
     resume_stem: Option<String>,
     every: Option<usize>,
     jobs: Jobs,
-    schedule: Schedule,
     pin: Pinning,
     batch: Batch,
     search_path: SearchPath,
@@ -86,7 +83,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: fig7_10 [--quick] [--json DIR] [--telemetry FILE.jsonl] \
          [--fleet-stats STEM] [--checkpoint STEM | --resume STEM] [--every EPOCHS] \
-         [--jobs N|auto] [--batch N] [--schedule static|steal] [--pin none|cores] \
+         [--jobs N|auto] [--batch N] [--pin none|cores] \
          [--search-path tiled|exhaustive] [--floorplan RxC]"
     );
     std::process::exit(2)
@@ -114,7 +111,6 @@ fn parse_args() -> Args {
         resume_stem: None,
         every: None,
         jobs: env_default(Jobs::from_env),
-        schedule: env_default(Schedule::from_env),
         pin: env_default(Pinning::from_env),
         batch: Batch::serial(),
         search_path: SearchPath::default(),
@@ -137,7 +133,6 @@ fn parse_args() -> Args {
             "--resume" => args.resume_stem = Some(value()),
             "--every" => args.every = Some(parse(&flag, &value())),
             "--jobs" => args.jobs = parse(&flag, &value()),
-            "--schedule" => args.schedule = parse(&flag, &value()),
             "--pin" => args.pin = parse(&flag, &value()),
             "--batch" => args.batch = parse(&flag, &value()),
             "--search-path" => args.search_path = parse(&flag, &value()),
@@ -180,7 +175,6 @@ fn main() {
         resume_stem,
         every,
         jobs,
-        schedule,
         pin,
         batch,
         search_path,
@@ -204,7 +198,6 @@ fn main() {
         }
         let campaign = Campaign::new(config)
             .expect("paper configuration is valid")
-            .with_schedule(schedule)
             .with_pinning(pin)
             .with_batch(batch)
             .with_search_path(search_path);
@@ -217,7 +210,6 @@ fn main() {
             let path = format!("{stem}.dark{}", (dark * 100.0) as u32);
             let mut runner = Checkpointer::new(&path)
                 .jobs(jobs)
-                .schedule(schedule)
                 .pinning(pin)
                 .with_failpoint(Arc::clone(&failpoint));
             if let Some(every) = every {

@@ -8,7 +8,6 @@ fn assert_rejected(bin: &str, args: &[&str], reason: &str) {
     let out = Command::new(bin)
         .args(args)
         .env_remove("HAYAT_JOBS")
-        .env_remove("HAYAT_SCHEDULE")
         .env_remove("HAYAT_PIN")
         .env_remove("HAYAT_FAILPOINT")
         .output()
@@ -35,6 +34,21 @@ fn fig7_10_rejects_unknown_and_incomplete_flags() {
     assert_rejected(bin, &["quick"], "unknown flag \"quick\"");
     assert_rejected(bin, &["--quick", "--every", "two"], "--every \"two\"");
     assert_rejected(bin, &["--quick", "--every", "2"], "--every requires");
+    assert_rejected(
+        bin,
+        &["--quick", "--schedule", "steal"],
+        "unknown flag \"--schedule\"",
+    );
+}
+
+#[test]
+fn campaign_rejects_the_removed_schedule_flag() {
+    let bin = env!("CARGO_BIN_EXE_campaign");
+    assert_rejected(
+        bin,
+        &["--chips", "1", "--schedule", "steal"],
+        "unknown flag \"--schedule\"",
+    );
 }
 
 #[test]

@@ -5,7 +5,7 @@ use crate::failpoint::{FailPoint, InjectedFailure};
 use hayat::{
     Campaign, CampaignResult, DynError, ExecutorError, ExecutorOptions, FleetAccumulator, GateSite,
     InFlightState, Jobs, Pinning, PolicyKind, ProgressOptions, RestoreError, RunDescriptor,
-    RunMetrics, RunUpdate, Schedule,
+    RunMetrics, RunUpdate,
 };
 use hayat_telemetry::{NullRecorder, Recorder, RecorderExt};
 use std::collections::BTreeMap;
@@ -82,7 +82,6 @@ pub struct Checkpointer {
     path: PathBuf,
     every_epochs: Option<usize>,
     jobs: Jobs,
-    schedule: Schedule,
     pinning: Pinning,
     recorder: Arc<dyn Recorder>,
     failpoint: Arc<FailPoint>,
@@ -99,7 +98,6 @@ impl Checkpointer {
             path: path.as_ref().to_path_buf(),
             every_epochs: None,
             jobs: Jobs::auto(),
-            schedule: Schedule::default(),
             pinning: Pinning::default(),
             recorder: Arc::new(NullRecorder),
             failpoint: Arc::new(FailPoint::disarmed()),
@@ -115,16 +113,6 @@ impl Checkpointer {
     #[must_use]
     pub const fn jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the worker schedule (default: [`Schedule::Static`]). Like
-    /// `jobs`, a pure execution knob outside the checkpoint's config hash:
-    /// a run checkpointed under one schedule resumes under another with
-    /// byte-identical results.
-    #[must_use]
-    pub const fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -315,7 +303,6 @@ impl Checkpointer {
         };
         let options = ExecutorOptions {
             jobs: self.jobs,
-            schedule: self.schedule,
             pinning: self.pinning,
             snapshot_every: Some(every),
             gate: Some(&gate),

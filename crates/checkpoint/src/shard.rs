@@ -16,7 +16,8 @@
 //!   more than one shard's worth of runs.
 //! * **Manifest** (`manifest.json`) — the commit point: format version,
 //!   config fingerprint, policy list, shard capacity, and the sealed-shard
-//!   count. Tiny and rewritten only when a shard seals.
+//!   count. Tiny and rewritten only when a shard seals (or when resume
+//!   commits a shard a crashed seal left uncommitted).
 //!
 //! **Ownership rule:** exactly one writer — the executor's owner thread.
 //! Workers never touch the checkpoint directory; they publish completed
@@ -27,18 +28,28 @@
 //! other campaign output — byte-identical for any `--jobs` value.
 //!
 //! Every file is written atomically (tmp + fsync + rename). A seal is the
-//! sequence *shard file → cleared tail → manifest*; a crash between any
-//! two steps leaves either a harmless orphan shard (re-written identically
-//! after resume) or an un-accounted sealed segment whose runs simply
-//! re-run deterministically. No interleaving loses committed work beyond
-//! one shard, and no interleaving can double-count a run.
+//! sequence *shard file → trimmed tail → manifest*, and the tail it writes
+//! already names the run at the new head as in flight. A crash after the
+//! shard write leaves an orphan shard the manifest does not vouch for:
+//! resume ignores it, its runs re-run deterministically, and the re-seal
+//! writes identical bytes. A crash after the tail write leaves a tail that
+//! starts exactly one shard past the manifest: resume checks the shard file
+//! in between against the missing canonical slots, replays it, and commits
+//! it in the manifest.
+//!
+//! Resume replays one sealed shard at a time — memory stays one shard, as
+//! on the fresh path — and never rewrites one. Every replayed run must sit
+//! in its canonical slot (its policy and `chip_id`, which is the chip
+//! index); anything else is [`CheckpointError::Corrupt`]. No interleaving
+//! loses committed work beyond one shard, and none can drop or
+//! double-count a run.
 
 use crate::checkpoint::{config_hash, CheckpointError, InFlightRun};
 use crate::failpoint::FailPoint;
 use crate::runner::{DEFAULT_EVERY_EPOCHS, FAILPOINT_CHIP, FAILPOINT_EPOCH};
 use hayat::{
     Campaign, CampaignResult, DynError, ExecutorOptions, FleetAccumulator, GateSite, InFlightState,
-    Jobs, Pinning, PolicyKind, ProgressOptions, RunDescriptor, RunMetrics, RunUpdate, Schedule,
+    Jobs, Pinning, PolicyKind, ProgressOptions, RunDescriptor, RunMetrics, RunUpdate,
 };
 use hayat_telemetry::{NullRecorder, Recorder, RecorderExt};
 use serde::{Deserialize, Serialize};
@@ -171,7 +182,6 @@ pub struct ShardedCheckpointer {
     shard_runs: usize,
     every_epochs: Option<usize>,
     jobs: Jobs,
-    schedule: Schedule,
     pinning: Pinning,
     recorder: Arc<dyn Recorder>,
     failpoint: Arc<FailPoint>,
@@ -191,7 +201,6 @@ impl ShardedCheckpointer {
             shard_runs: DEFAULT_SHARD_RUNS,
             every_epochs: None,
             jobs: Jobs::auto(),
-            schedule: Schedule::default(),
             pinning: Pinning::default(),
             recorder: Arc::new(NullRecorder),
             failpoint: Arc::new(FailPoint::disarmed()),
@@ -217,14 +226,6 @@ impl ShardedCheckpointer {
     #[must_use]
     pub const fn jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the worker schedule; see
-    /// [`Checkpointer::schedule`](crate::Checkpointer::schedule).
-    #[must_use]
-    pub const fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -359,14 +360,21 @@ impl ShardedCheckpointer {
         self.store.save_json(&self.store.tail_path(), &tail)?;
         self.store
             .save_json(&self.store.manifest_path(), &manifest)?;
-        self.drive(campaign, manifest, tail, sink)
+        self.drive(campaign, &campaign.grid(policies), manifest, tail, 0, sink)
     }
 
-    /// Resumes a sharded campaign: the sealed shards and tail are replayed
-    /// to `sink` (and the fleet accumulator) in canonical order first, an
-    /// interrupted mid-chip run re-enters its engine snapshot, and the
-    /// remaining grid runs normally with sharding still active. Returns
-    /// the total number of runs delivered (replayed + fresh).
+    /// Resumes a sharded campaign: the sealed shards are replayed to `sink`
+    /// (and the fleet accumulator) in canonical order one shard at a time,
+    /// then the tail; an interrupted mid-chip run re-enters its engine
+    /// snapshot, and the remaining grid runs normally with sharding still
+    /// active. Sealed shards are never rewritten. Returns the total number
+    /// of runs delivered (replayed + fresh).
+    ///
+    /// Every replayed run must sit in its canonical slot. The one
+    /// tolerated gap is a crash inside a seal after the tail write but
+    /// before the manifest commit: the tail then starts one shard past the
+    /// manifest, and the shard file in between is checked against the
+    /// missing slots, replayed, and committed.
     ///
     /// # Errors
     ///
@@ -374,12 +382,12 @@ impl ShardedCheckpointer {
     /// [`CheckpointError::VersionMismatch`] /
     /// [`CheckpointError::ConfigMismatch`] /
     /// [`CheckpointError::ProgressOutOfRange`] /
-    /// [`CheckpointError::Corrupt`] for manifests that don't fit the
+    /// [`CheckpointError::Corrupt`] for directories that don't fit the
     /// campaign.
     pub fn resume_streamed(
         &self,
         campaign: &Campaign,
-        sink: impl FnMut(usize, &RunMetrics) -> Result<(), DynError>,
+        mut sink: impl FnMut(usize, &RunMetrics) -> Result<(), DynError>,
     ) -> Result<u64, CheckpointError> {
         let _resume_span = self.recorder.span("campaign.resume");
         let mut manifest: ShardManifest = self.store.load_json(&self.store.manifest_path())?;
@@ -404,70 +412,84 @@ impl ShardedCheckpointer {
         if let Some(every) = self.every_epochs {
             manifest.every_epochs = every;
         }
-        // Rebuild the durable prefix: sealed shards in order, then the tail.
-        let mut tail = ShardTail {
-            completed: Vec::new(),
-            in_flight: None,
-        };
-        let mut prefix: Vec<RunMetrics> = Vec::new();
+        let grid = campaign.grid(&manifest.policies);
+        let capacity = manifest.shard_runs;
+        let sealed_runs = manifest.sealed.saturating_mul(capacity);
+        if sealed_runs > grid.len() {
+            return Err(CheckpointError::ProgressOutOfRange {
+                jobs: grid.len(),
+                completed: sealed_runs,
+            });
+        }
+        let mut base = sealed_runs;
         for shard in 0..manifest.sealed {
-            let runs: Vec<RunMetrics> = self.store.load_json(&self.store.shard_path(shard))?;
-            if runs.len() != manifest.shard_runs {
+            let runs = self.load_shard(&grid, shard, capacity)?;
+            self.replay(shard * capacity, &runs, &mut sink)?;
+        }
+        let tail: ShardTail = self.store.load_json(&self.store.tail_path())?;
+        if !tail_fits(&grid, base, &tail) {
+            if !tail_fits(&grid, base + capacity, &tail) {
                 return Err(CheckpointError::Corrupt(format!(
-                    "sealed shard {shard} holds {} runs, manifest promises {}",
-                    runs.len(),
-                    manifest.shard_runs
+                    "tail does not continue the {} sealed shards in the \
+                     campaign's job order",
+                    manifest.sealed
                 )));
             }
-            prefix.extend(runs);
+            let runs = self.load_shard(&grid, manifest.sealed, capacity)?;
+            self.replay(base, &runs, &mut sink)?;
+            manifest.sealed += 1;
+            self.store
+                .save_json(&self.store.manifest_path(), &manifest)?;
+            base += capacity;
         }
-        let loaded: ShardTail = self.store.load_json(&self.store.tail_path())?;
-        prefix.extend(loaded.completed);
-        tail.in_flight = loaded.in_flight;
-        self.recorder
-            .counter("campaign.runs_skipped", prefix.len() as u64);
+        self.replay(base, &tail.completed, &mut sink)?;
+        let done = base + tail.completed.len();
+        self.recorder.counter("campaign.runs_skipped", done as u64);
         if let Some(in_flight) = &tail.in_flight {
+            if in_flight.engine.next_epoch > campaign.config().epoch_count() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "in-flight run ({:?}, chip {}) at epoch {} is past the \
+                     campaign's last epoch",
+                    in_flight.policy, in_flight.chip, in_flight.engine.next_epoch
+                )));
+            }
             self.recorder.counter(
                 "campaign.epochs_skipped",
                 in_flight.engine.next_epoch as u64,
             );
         }
-        // The drive loop owns sealing; hand it the prefix as an oversized
-        // tail and let it re-seal. Sealing is deterministic, so re-written
-        // shard files are byte-identical to the ones already on disk.
-        manifest.sealed = 0;
-        tail.completed = prefix;
-        self.drive(campaign, manifest, tail, sink)
+        self.drive(campaign, &grid, manifest, tail, done, sink)
     }
 
-    /// The shared fresh/resume loop. `tail.completed` carries the already
-    /// durable canonical prefix (the whole of it on resume); `sink` sees
-    /// every run of the campaign exactly once, in canonical order.
-    fn drive(
+    /// Loads sealed shard `index` and checks that it holds exactly the runs
+    /// of its canonical slots.
+    fn load_shard(
         &self,
-        campaign: &Campaign,
-        mut manifest: ShardManifest,
-        mut tail: ShardTail,
-        mut sink: impl FnMut(usize, &RunMetrics) -> Result<(), DynError>,
-    ) -> Result<u64, CheckpointError> {
-        let epoch_count = campaign.config().epoch_count();
-        let grid: Vec<(PolicyKind, usize)> = manifest
-            .policies
-            .iter()
-            .flat_map(|&kind| (0..campaign.chip_count()).map(move |chip| (kind, chip)))
-            .collect();
-        let mut done = tail.completed.len();
-        if done > grid.len() {
-            return Err(CheckpointError::ProgressOutOfRange {
-                jobs: grid.len(),
-                completed: done,
-            });
+        grid: &[RunDescriptor],
+        index: usize,
+        capacity: usize,
+    ) -> Result<Vec<RunMetrics>, CheckpointError> {
+        let runs: Vec<RunMetrics> = self.store.load_json(&self.store.shard_path(index))?;
+        let start = index * capacity;
+        if runs.len() != capacity || !fills_slots(grid, start, &runs) {
+            return Err(CheckpointError::Corrupt(format!(
+                "shard {index} does not hold the {capacity} runs of canonical slots \
+                 {start}..{}",
+                start + capacity
+            )));
         }
+        Ok(runs)
+    }
 
-        // Replay the durable prefix to the sink and the fleet accumulator,
-        // then seal whatever full shards it contains (idempotent on
-        // resume: identical bytes land over the identical files).
-        for (index, run) in tail.completed.iter().enumerate() {
+    /// Feeds durable runs, the first at canonical slot `start`, to the
+    /// fleet accumulator and `sink`.
+    fn replay(
+        &self,
+        start: usize,
+        runs: &[RunMetrics],
+        sink: &mut impl FnMut(usize, &RunMetrics) -> Result<(), DynError>,
+    ) -> Result<(), CheckpointError> {
+        for (index, run) in (start..).zip(runs) {
             if let Some(fleet) = &self.fleet {
                 fleet
                     .lock()
@@ -476,32 +498,31 @@ impl ShardedCheckpointer {
             }
             sink(index, run).map_err(sink_error)?;
         }
+        Ok(())
+    }
+
+    /// The shared fresh/resume loop over the campaign's canonical `grid`.
+    /// The first `done` runs are durable and already delivered, the last
+    /// of them held in `tail`; `sink` sees every later run exactly once, in
+    /// canonical order.
+    fn drive(
+        &self,
+        campaign: &Campaign,
+        grid: &[RunDescriptor],
+        mut manifest: ShardManifest,
+        mut tail: ShardTail,
+        mut done: usize,
+        mut sink: impl FnMut(usize, &RunMetrics) -> Result<(), DynError>,
+    ) -> Result<u64, CheckpointError> {
+        // A tail resumed from inside a multi-shard seal may still hold a
+        // full shard.
         self.seal_full_shards(&mut manifest, &mut tail)?;
 
-        let in_flight = tail.in_flight.take();
-        if let Some(state) = &in_flight {
-            if grid.get(done) != Some(&(state.policy, state.chip))
-                || state.engine.next_epoch > epoch_count
-            {
-                return Err(CheckpointError::Corrupt(format!(
-                    "in-flight run ({:?}, chip {}) at epoch {} does not \
-                     match the campaign's job order",
-                    state.policy, state.chip, state.engine.next_epoch
-                )));
-            }
-        }
-        let resume_state = in_flight.map(|state| InFlightState {
+        let resume_state = tail.in_flight.take().map(|state| InFlightState {
             index: done,
             partial: state.partial,
             snapshot: state.engine,
         });
-        let descriptors: Vec<RunDescriptor> = grid
-            .iter()
-            .enumerate()
-            .skip(done)
-            .map(|(index, &(kind, chip))| RunDescriptor { index, kind, chip })
-            .collect();
-
         let failpoint = Arc::clone(&self.failpoint);
         let gate = move |site: GateSite, _run: &RunDescriptor| -> Result<(), DynError> {
             let site = match site {
@@ -512,7 +533,6 @@ impl ShardedCheckpointer {
         };
         let options = ExecutorOptions {
             jobs: self.jobs,
-            schedule: self.schedule,
             pinning: self.pinning,
             snapshot_every: Some(manifest.every_epochs.max(1)),
             gate: Some(&gate),
@@ -522,7 +542,7 @@ impl ShardedCheckpointer {
         let mut pending: BTreeMap<usize, RunMetrics> = BTreeMap::new();
         let mut snapshots: BTreeMap<usize, InFlightRun> = BTreeMap::new();
         let outcome = campaign.execute(
-            &descriptors,
+            &grid[done..],
             resume_state,
             &options,
             &self.recorder,
@@ -533,11 +553,11 @@ impl ShardedCheckpointer {
                         partial,
                         snapshot,
                     } => {
-                        let (policy, chip) = grid[index];
+                        let RunDescriptor { kind, chip, .. } = grid[index];
                         snapshots.insert(
                             index,
                             InFlightRun {
-                                policy,
+                                policy: kind,
                                 chip,
                                 partial,
                                 engine: *snapshot,
@@ -564,9 +584,11 @@ impl ShardedCheckpointer {
                             done += 1;
                         }
                         if done != before {
+                            // Set before sealing: every tail a seal writes
+                            // then names the run at the new head.
+                            tail.in_flight = snapshots.get(&done).cloned();
                             self.seal_full_shards(&mut manifest, &mut tail)
                                 .map_err(DynError::from)?;
-                            tail.in_flight = snapshots.get(&done).cloned();
                             self.save_tail(&tail).map_err(DynError::from)?;
                         }
                     }
@@ -609,6 +631,25 @@ impl ShardedCheckpointer {
         self.recorder.counter("checkpoint.bytes_written", bytes);
         Ok(())
     }
+}
+
+/// Whether `runs` are the runs of the canonical slots from `start` on.
+fn fills_slots(grid: &[RunDescriptor], start: usize, runs: &[RunMetrics]) -> bool {
+    runs.iter().enumerate().all(|(offset, run)| {
+        grid.get(start + offset)
+            .is_some_and(|slot| run.policy == slot.kind.name() && run.chip_id == slot.chip)
+    })
+}
+
+/// Whether `tail`'s completed runs, then its in-flight run, occupy the
+/// canonical slots from `start` on.
+fn tail_fits(grid: &[RunDescriptor], start: usize, tail: &ShardTail) -> bool {
+    let next = start + tail.completed.len();
+    fills_slots(grid, start, &tail.completed)
+        && tail.in_flight.as_ref().is_none_or(|run| {
+            grid.get(next)
+                .is_some_and(|slot| slot.kind == run.policy && slot.chip == run.chip)
+        })
 }
 
 /// Wraps a sink failure that is not already a checkpoint error.
@@ -765,6 +806,163 @@ mod tests {
             ShardedCheckpointer::new(&dir).resume(&other),
             Err(CheckpointError::ConfigMismatch { .. })
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn read_json<T: Deserialize>(path: &Path) -> T {
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap()
+    }
+
+    fn write_json<T: Serialize>(path: &Path, value: &T) {
+        std::fs::write(path, serde_json::to_string(value).unwrap()).unwrap();
+    }
+
+    /// Rewinds the manifest's sealed count, as a crash after a seal's tail
+    /// write but before its manifest commit leaves it.
+    fn rewind_manifest(dir: &Path, sealed: usize) {
+        let path = dir.join("manifest.json");
+        let mut manifest: ShardManifest = read_json(&path);
+        manifest.sealed = sealed;
+        write_json(&path, &manifest);
+    }
+
+    #[test]
+    fn resume_commits_the_shard_a_crashed_seal_left_uncommitted() {
+        // 5 runs at capacity 2: shards {0, 1} and {2, 3}, tail [4]. With the
+        // manifest rewound to one shard the tail starts one shard past it;
+        // resume must splice shard 1 back in, not run 4 after run 1.
+        let campaign = tiny_campaign(5);
+        let dir = temp_dir("seal_crash_tail");
+        let policies = [PolicyKind::Hayat];
+        ShardedCheckpointer::new(&dir)
+            .shard_runs(2)
+            .run(&campaign, &policies)
+            .unwrap();
+        rewind_manifest(&dir, 1);
+
+        let resumed = ShardedCheckpointer::new(&dir).resume(&campaign).unwrap();
+        assert_eq!(resumed, campaign.run(&policies));
+        let manifest: ShardManifest = read_json(&dir.join("manifest.json"));
+        assert_eq!(manifest.sealed, 2, "the recovered shard is committed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_commits_the_shard_behind_an_in_flight_tail() {
+        // Interrupted inside chip 4's second epoch (2 epochs per run, so
+        // epoch gate 10): shards {0, 1} and {2, 3}, an empty tail, chip 4
+        // in flight. Rewound to one shard, the in-flight run sits one
+        // shard past the manifest.
+        let campaign = tiny_campaign(5);
+        let dir = temp_dir("seal_crash_in_flight");
+        let policies = [PolicyKind::Hayat];
+        let interrupted = ShardedCheckpointer::new(&dir)
+            .every(1)
+            .shard_runs(2)
+            .jobs(Jobs::serial())
+            .with_failpoint(FailPoint::armed(
+                FAILPOINT_EPOCH,
+                10,
+                crate::failpoint::FailMode::Error,
+            ))
+            .run(&campaign, &policies);
+        assert!(matches!(interrupted, Err(CheckpointError::Injected(_))));
+        let tail: ShardTail = read_json(&dir.join("tail.json"));
+        assert!(tail.completed.is_empty());
+        assert_eq!(tail.in_flight.map(|run| run.chip), Some(4));
+        rewind_manifest(&dir, 1);
+
+        let resumed = ShardedCheckpointer::new(&dir).resume(&campaign).unwrap();
+        assert_eq!(resumed, campaign.run(&policies));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_seal_that_fails_before_its_manifest_commit_resumes() {
+        // A directory squatting on the manifest's temp path fails the
+        // manifest write of shard 0's seal, after the shard and tail
+        // writes: the on-disk state of a crash inside the seal. The tail
+        // must not name the just-sealed run as still in flight.
+        let campaign = tiny_campaign(3);
+        let dir = temp_dir("seal_manifest_failure");
+        let policies = [PolicyKind::Hayat];
+        let blocker = dir.join("manifest.json.tmp");
+        let failed = ShardedCheckpointer::new(&dir)
+            .every(1)
+            .shard_runs(2)
+            .jobs(Jobs::serial())
+            .run_streamed(&campaign, &policies, |index, _| {
+                if index == 1 {
+                    std::fs::create_dir(&blocker)?;
+                }
+                Ok(())
+            });
+        assert!(matches!(failed, Err(CheckpointError::Io { .. })));
+        std::fs::remove_dir(&blocker).unwrap();
+
+        let resumed = ShardedCheckpointer::new(&dir).resume(&campaign).unwrap();
+        assert_eq!(resumed, campaign.run(&policies));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn runs_outside_their_canonical_slot_are_corrupt() {
+        let campaign = tiny_campaign(5);
+        let policies = [PolicyKind::Hayat];
+        let finished = |name: &str| {
+            let dir = temp_dir(name);
+            ShardedCheckpointer::new(&dir)
+                .shard_runs(2)
+                .run(&campaign, &policies)
+                .unwrap();
+            dir
+        };
+
+        // The tail's run 4 relabelled as chip 3: it fits neither after the
+        // sealed shards nor one shard past them.
+        let dir = finished("misplaced_tail");
+        let tail_path = dir.join("tail.json");
+        let mut tail: ShardTail = read_json(&tail_path);
+        tail.completed[0].chip_id = 3;
+        write_json(&tail_path, &tail);
+        assert!(matches!(
+            ShardedCheckpointer::new(&dir).resume(&campaign),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A sealed shard with its two runs swapped.
+        let dir = finished("misplaced_shard");
+        let shard_path = dir.join("shard-00000.json");
+        let mut shard: Vec<RunMetrics> = read_json(&shard_path);
+        shard.swap(0, 1);
+        write_json(&shard_path, &shard);
+        assert!(matches!(
+            ShardedCheckpointer::new(&dir).resume(&campaign),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resuming_a_finished_directory_writes_nothing() {
+        let campaign = tiny_campaign(5);
+        let dir = temp_dir("finished");
+        let policies = [PolicyKind::Hayat];
+        let fresh = ShardedCheckpointer::new(&dir)
+            .shard_runs(2)
+            .run(&campaign, &policies)
+            .unwrap();
+        let memory = Arc::new(hayat_telemetry::MemoryRecorder::new());
+        let resumed = ShardedCheckpointer::new(&dir)
+            .with_recorder(memory.clone())
+            .resume(&campaign)
+            .unwrap();
+        assert_eq!(resumed, fresh);
+        let summary = memory.summary();
+        assert_eq!(summary.counter_total("campaign.runs_skipped"), Some(5));
+        assert_eq!(summary.counter_total("checkpoint.shards_sealed"), None);
+        assert_eq!(summary.counter_total("checkpoint.writes"), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -69,7 +69,7 @@ pub use crate::policy::{
 };
 pub use crate::sim::batch::ChipBatch;
 pub use crate::sim::campaign::{Campaign, CampaignResult, CampaignSummary, PolicyKind};
-pub use crate::sim::config::{Batch, Jobs, Pinning, Schedule, SearchPath, SimulationConfig};
+pub use crate::sim::config::{Batch, Jobs, Pinning, SearchPath, SimulationConfig};
 pub use crate::sim::engine::SimulationEngine;
 pub use crate::sim::executor::{
     DynError, ExecutorError, ExecutorOptions, GateSite, InFlightState, ProgressFrame,

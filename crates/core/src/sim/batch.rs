@@ -20,9 +20,16 @@
 //! `--batch 1` (pinned by `batched_epochs_match_serial_bitwise` and the
 //! campaign-level proptests).
 //!
-//! Telemetry shape differs under batching (one `thermal.transient.step`
-//! span per batched step instead of per chip; lanes' spans interleave);
-//! campaign *output* is unaffected — spans are observational.
+//! A batch of one engine is the executor's `--batch 1` path: it steps
+//! through the engine's own [`SimulationEngine::run_epoch`], so a width-1
+//! claim keeps the per-chip span shape (`engine.epoch` around decision,
+//! window and upscale) and steps the thermal state in place, without the
+//! batched solve's staging copies.
+//!
+//! Telemetry shape differs under wider batching (one
+//! `thermal.transient.step` span per batched step instead of per chip;
+//! each lane's `engine.epoch` span covers its decision only); campaign
+//! *output* is unaffected — spans are observational.
 
 use crate::metrics::EpochRecord;
 use crate::policy::PolicyScratch;
@@ -120,8 +127,16 @@ impl ChipBatch {
     /// Runs `epoch` across every lane whose run has reached it, in
     /// lockstep, returning `(lane, record)` pairs in lane order. Each
     /// lane's record is bit-identical to what its engine's serial
-    /// [`SimulationEngine::run_epoch`] would have produced.
+    /// [`SimulationEngine::run_epoch`] would have produced; a one-lane
+    /// batch simply calls it.
     pub fn run_epoch(&mut self, epoch: usize) -> Vec<(usize, EpochRecord)> {
+        if let [engine] = self.engines.as_mut_slice() {
+            return if self.start_epochs[0] <= epoch {
+                vec![(0, engine.run_epoch(epoch))]
+            } else {
+                Vec::new()
+            };
+        }
         let active: Vec<usize> = (0..self.engines.len())
             .filter(|&lane| self.start_epochs[lane] <= epoch)
             .collect();
@@ -239,6 +254,75 @@ mod tests {
             batch.engine(lane).finalize_metrics(m);
         }
         assert_eq!(metrics, serial, "lockstep output must not drift a bit");
+    }
+
+    #[test]
+    fn one_lane_batch_matches_the_engine_bitwise_also_when_resumed() {
+        let config = SimulationConfig::quick_demo();
+        let epochs = config.epoch_count();
+        let mut serial = engines(1).remove(0);
+        let reference: Vec<EpochRecord> = (0..epochs).map(|e| serial.run_epoch(e)).collect();
+        let records = |batch: &mut ChipBatch| -> Vec<EpochRecord> {
+            (0..epochs)
+                .flat_map(|epoch| batch.run_epoch(epoch))
+                .map(|(lane, record)| {
+                    assert_eq!(lane, 0);
+                    record
+                })
+                .collect()
+        };
+        assert_eq!(records(&mut ChipBatch::new(engines(1))), reference);
+
+        // A lane restored from a mid-run snapshot joins late, as a resumed
+        // run does, and continues the serial trajectory exactly.
+        let cut = epochs / 2;
+        let mut first = engines(1).remove(0);
+        for epoch in 0..cut {
+            let _ = first.run_epoch(epoch);
+        }
+        let mut resumed = engines(1).remove(0);
+        resumed.restore(&first.snapshot(cut)).unwrap();
+        let mut batch = ChipBatch::with_start_epochs(vec![resumed], vec![cut]);
+        assert_eq!(records(&mut batch), reference[cut..]);
+    }
+
+    #[test]
+    fn one_lane_batch_keeps_the_engine_span_shape() {
+        let config = SimulationConfig::quick_demo();
+        let traced = || {
+            let memory = Arc::new(hayat_telemetry::MemoryRecorder::new());
+            let engine = engines(1).remove(0).with_recorder(memory.clone());
+            (engine, memory)
+        };
+        let (mut plain, plain_memory) = traced();
+        let (engine, batch_memory) = traced();
+        let mut batch = ChipBatch::new(vec![engine]);
+        for epoch in 0..config.epoch_count() {
+            let _ = plain.run_epoch(epoch);
+            let _ = batch.run_epoch(epoch);
+        }
+        let (plain, batched) = (plain_memory.summary(), batch_memory.summary());
+        let counts = |summary: &hayat_telemetry::TelemetrySummary| {
+            summary
+                .spans
+                .iter()
+                .map(|span| (span.name.clone(), span.count))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(&batched), counts(&plain));
+        // At batch 1 the epoch span encloses the decision, every thermal
+        // step and the upscale — the benchmark's per-layer split relies on
+        // it.
+        let total = |name: &str| batched.span(name).map_or(0.0, |span| span.total_seconds);
+        let inner = total("policy.hayat.decision")
+            + total("thermal.transient.step")
+            + total("engine.aging.advance");
+        assert!(inner > 0.0);
+        assert!(
+            total("engine.epoch") >= inner,
+            "engine.epoch {} s must cover its {inner} s of decision, window and upscale",
+            total("engine.epoch")
+        );
     }
 
     #[test]

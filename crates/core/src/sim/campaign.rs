@@ -5,7 +5,7 @@ use crate::policy::hayat::HayatPolicy;
 use crate::policy::simple::{CoolestFirstPolicy, RandomPolicy};
 use crate::policy::vaa::VaaPolicy;
 use crate::policy::Policy;
-use crate::sim::config::{Batch, Jobs, Pinning, Schedule, SearchPath, SimulationConfig};
+use crate::sim::config::{Batch, Jobs, Pinning, SearchPath, SimulationConfig};
 use crate::sim::engine::SimulationEngine;
 use crate::sim::executor::{
     DynError, ExecutorError, ExecutorOptions, ProgressOptions, RunDescriptor, RunUpdate,
@@ -92,7 +92,6 @@ pub struct Campaign {
     table_path: TablePath,
     search_path: SearchPath,
     batch: Batch,
-    schedule: Schedule,
     pinning: Pinning,
 }
 
@@ -122,7 +121,6 @@ impl Campaign {
             table_path: TablePath::default(),
             search_path: SearchPath::default(),
             batch: Batch::serial(),
-            schedule: Schedule::default(),
             pinning: Pinning::default(),
         })
     }
@@ -185,23 +183,6 @@ impl Campaign {
     #[must_use]
     pub fn with_batch(mut self, batch: Batch) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// How workers claim campaign work ([`Schedule::Static`] by default).
-    #[must_use]
-    pub const fn schedule(&self) -> Schedule {
-        self.schedule
-    }
-
-    /// Selects the worker schedule for every execution this campaign drives
-    /// (the `--schedule` flag). Like `--jobs` and `--batch`, a pure
-    /// execution knob: every schedule feeds the same canonical-order merge,
-    /// so output is byte-identical across schedules and the knob never
-    /// enters a checkpoint's config hash.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -347,7 +328,6 @@ impl Campaign {
         let mut runs: Vec<Option<RunMetrics>> = (0..descriptors.len()).map(|_| None).collect();
         let options = ExecutorOptions {
             jobs,
-            schedule: self.schedule,
             pinning: self.pinning,
             progress,
             ..ExecutorOptions::default()
@@ -404,7 +384,6 @@ impl Campaign {
         let descriptors = self.grid(policies);
         let options = ExecutorOptions {
             jobs,
-            schedule: self.schedule,
             pinning: self.pinning,
             progress,
             ..ExecutorOptions::default()

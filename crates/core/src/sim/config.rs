@@ -343,69 +343,6 @@ impl std::str::FromStr for Batch {
     }
 }
 
-/// How workers claim campaign work (the `--schedule` flag).
-///
-/// Like [`Jobs`] and [`Batch`], deliberately *not* a field of
-/// [`SimulationConfig`]: the schedule is a pure execution knob. Results from
-/// any schedule flow through the same canonical-order merge, so campaign
-/// output is byte-identical across schedules and a checkpointed run started
-/// under one schedule resumes under another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Schedule {
-    /// Workers pull the next claim from one shared atomic cursor. Lowest
-    /// coordination overhead when claims are cheap and uniform.
-    #[default]
-    Static,
-    /// Work stealing: claims are block-partitioned into per-worker deques
-    /// up front; a worker that drains its own deque steals the tail half of
-    /// a randomly chosen victim's. Avoids the shared hot cursor and keeps
-    /// workers busy under skewed per-run costs.
-    Steal,
-}
-
-impl Schedule {
-    /// The schedule requested through the `HAYAT_SCHEDULE` environment
-    /// variable, the default ([`Schedule::Static`]) when unset or empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse message when the variable is set to something other
-    /// than `static` or `steal`.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("HAYAT_SCHEDULE") {
-            Ok(text) if !text.trim().is_empty() => text
-                .trim()
-                .parse()
-                .map_err(|e| format!("HAYAT_SCHEDULE: {e}")),
-            _ => Ok(Schedule::default()),
-        }
-    }
-}
-
-impl std::fmt::Display for Schedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Schedule::Static => "static",
-            Schedule::Steal => "steal",
-        })
-    }
-}
-
-impl std::str::FromStr for Schedule {
-    type Err = String;
-
-    /// Parses the `--schedule` flag: `static` or `steal`.
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        match text.to_ascii_lowercase().as_str() {
-            "static" => Ok(Schedule::Static),
-            "steal" => Ok(Schedule::Steal),
-            other => Err(format!(
-                "--schedule wants 'static' or 'steal', got '{other}'"
-            )),
-        }
-    }
-}
-
 /// Whether campaign workers are pinned to hardware cores (the `--pin` flag).
 ///
 /// A scheduling hint only — pinning can never influence results. On hosts
@@ -643,16 +580,6 @@ mod tests {
         assert!("many".parse::<Jobs>().is_err());
         assert_eq!(Jobs::new(0), None);
         assert_eq!(format!("{}", Jobs::new(3).unwrap()), "3");
-    }
-
-    #[test]
-    fn schedule_parses_and_displays() {
-        assert_eq!("static".parse::<Schedule>(), Ok(Schedule::Static));
-        assert_eq!("steal".parse::<Schedule>(), Ok(Schedule::Steal));
-        assert_eq!("STEAL".parse::<Schedule>(), Ok(Schedule::Steal));
-        assert!("dynamic".parse::<Schedule>().is_err());
-        assert_eq!(Schedule::default(), Schedule::Static);
-        assert_eq!(format!("{}", Schedule::Steal), "steal");
     }
 
     #[test]

@@ -6,13 +6,16 @@
 //! 2 policies × 2 dark budgets) parallelizes perfectly. This module supplies
 //! the one shared engine for that fan-out:
 //!
-//! * **Work queue** — two selectable schedules ([`Schedule`]). *Static*:
-//!   workers pull batch-granular claims from a shared [`AtomicUsize`]
-//!   cursor. *Steal*: claims are block-partitioned into per-worker deques and
-//!   an idle worker steals the tail half of a randomly chosen victim's deque
-//!   (victim order seeded deterministically per worker). Either way no claim
-//!   is ever run twice, and with [`Pinning::Cores`] each worker is pinned to
-//!   a hardware core round-robin.
+//! * **Work queue** — workers pull batch-granular claims from one shared
+//!   [`AtomicUsize`] cursor, in canonical order. A worker that finishes a
+//!   claim early simply takes the next one, which is what balances skewed
+//!   per-run costs; no claim is ever run twice. With [`Pinning::Cores`]
+//!   each worker is pinned to a hardware core round-robin.
+//! * **One claim driver** — every claim, one chip or many, runs through a
+//!   [`ChipBatch`], so gates, span context, in-flight resume, snapshot
+//!   cadence, completion and panic capture exist once. A one-engine batch
+//!   steps through [`SimulationEngine::run_epoch`], so `--batch 1` keeps the
+//!   per-chip thermal path and span shape.
 //! * **Owner-thread merge** — workers publish [`RunUpdate`]s over a channel
 //!   to the *calling* thread, which owns the single mutable sink (the
 //!   in-memory result vector, or the [`Checkpointer`] in
@@ -39,14 +42,13 @@ use crate::sim::engine::SimulationEngine;
 use crate::sim::snapshot::EngineSnapshot;
 use hayat_telemetry::{BufferRecorder, NullRecorder, Recorder, RecorderExt, SpanContext};
 use serde::Serialize;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-pub use crate::sim::config::{Jobs, Pinning, Schedule};
+pub use crate::sim::config::{Jobs, Pinning};
 
 /// Boxed error type accepted from gates and sinks; the executor carries it
 /// through unchanged so callers can downcast their own error types back out.
@@ -209,10 +211,6 @@ impl std::fmt::Debug for ProgressOptions {
 pub struct ExecutorOptions<'a> {
     /// Worker-thread count (capped at the number of descriptors).
     pub jobs: Jobs,
-    /// How workers claim work: a shared static cursor or per-worker deques
-    /// with work stealing. Never influences results — every schedule feeds
-    /// the same canonical-order merge.
-    pub schedule: Schedule,
     /// Whether workers are pinned to hardware cores (round-robin). A
     /// placement hint only; degrades to a no-op where affinity is
     /// unavailable.
@@ -311,178 +309,6 @@ impl FailureSlot {
     }
 }
 
-/// The shared work queue behind [`Campaign::execute`], in one of the two
-/// [`Schedule`] shapes. Claims are batch-granular: claim `c` covers the
-/// consecutive canonical-order descriptors `c*batch .. (c+1)*batch`, so both
-/// schedules partition the grid identically and the downstream merge cannot
-/// tell them apart.
-enum WorkQueue {
-    /// One shared cursor; `fetch_add` hands out claims in canonical order.
-    Static { cursor: AtomicUsize, claims: usize },
-    /// Per-worker deques with steal-half-from-the-tail balancing.
-    Steal(StealQueues),
-}
-
-impl WorkQueue {
-    fn new(schedule: Schedule, claims: usize, workers: usize) -> Self {
-        match schedule {
-            Schedule::Static => WorkQueue::Static {
-                cursor: AtomicUsize::new(0),
-                claims,
-            },
-            Schedule::Steal => WorkQueue::Steal(StealQueues::new(claims, workers)),
-        }
-    }
-
-    /// The next claim for `worker`, or `None` when the campaign has no more
-    /// work (or `stop` was raised while waiting on in-transit steals).
-    fn next_claim(
-        &self,
-        worker: usize,
-        rng: &mut VictimRng,
-        scratch: &mut Vec<usize>,
-        stop: &AtomicBool,
-        recorder: &dyn Recorder,
-    ) -> Option<usize> {
-        match self {
-            WorkQueue::Static { cursor, claims } => {
-                let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                (claim < *claims).then_some(claim)
-            }
-            WorkQueue::Steal(queues) => queues.next_claim(worker, rng, scratch, stop, recorder),
-        }
-    }
-}
-
-/// Per-worker claim deques for [`Schedule::Steal`].
-///
-/// Claims are block-partitioned up front — worker `w` owns the contiguous
-/// claim range `w*claims/workers .. (w+1)*claims/workers` — so worker 0
-/// always starts at claim 0 and the checkpointer's completed prefix advances
-/// early. Owners pop their own deque at the *front* (canonical order);
-/// thieves take the tail half of a victim's deque, which preserves the
-/// victim's in-order progress.
-struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    /// Claims not yet popped for execution. Stolen-but-in-transit claims
-    /// still count, so an idle worker spins (rather than exiting) during the
-    /// nanoseconds a steal is between deques, and exits exactly when all
-    /// claims have been picked up for execution.
-    remaining: AtomicUsize,
-}
-
-impl StealQueues {
-    fn new(claims: usize, workers: usize) -> Self {
-        let queues = (0..workers)
-            .map(|w| {
-                let block = (w * claims / workers)..((w + 1) * claims / workers);
-                Mutex::new(block.collect::<VecDeque<usize>>())
-            })
-            .collect();
-        StealQueues {
-            queues,
-            remaining: AtomicUsize::new(claims),
-        }
-    }
-
-    fn next_claim(
-        &self,
-        worker: usize,
-        rng: &mut VictimRng,
-        scratch: &mut Vec<usize>,
-        stop: &AtomicBool,
-        recorder: &dyn Recorder,
-    ) -> Option<usize> {
-        loop {
-            if let Some(claim) = self.pop_own(worker) {
-                return Some(claim);
-            }
-            if self.remaining.load(Ordering::Acquire) == 0 || stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            // One steal round over the other workers, in an order drawn from
-            // this worker's seeded generator.
-            scratch.clear();
-            scratch.extend((0..self.queues.len()).filter(|&v| v != worker));
-            rng.shuffle(scratch);
-            let mut stolen = None;
-            for &victim in scratch.iter() {
-                if let Some(claim) = self.steal(worker, victim) {
-                    stolen = Some(claim);
-                    break;
-                }
-                recorder.counter("campaign.steal_fails", 1);
-            }
-            match stolen {
-                Some(claim) => {
-                    recorder.counter("campaign.steals", 1);
-                    return Some(claim);
-                }
-                // Every victim was empty but claims remain in transit:
-                // another thief holds them between deques. Yield and rescan.
-                None => std::thread::yield_now(),
-            }
-        }
-    }
-
-    fn pop_own(&self, worker: usize) -> Option<usize> {
-        let claim = self.queues[worker]
-            .lock()
-            .expect("steal deque lock")
-            .pop_front()?;
-        self.remaining.fetch_sub(1, Ordering::Release);
-        Some(claim)
-    }
-
-    /// Takes the tail half (at least one) of `victim`'s deque; the first
-    /// stolen claim is returned for immediate execution and the rest land at
-    /// the back of `thief`'s deque. The two locks are never held together.
-    fn steal(&self, thief: usize, victim: usize) -> Option<usize> {
-        let mut stolen = {
-            let mut deque = self.queues[victim].lock().expect("steal deque lock");
-            let keep = deque.len() / 2;
-            if deque.len() == keep {
-                return None; // empty victim
-            }
-            deque.split_off(keep)
-        };
-        let first = stolen.pop_front().expect("stole at least one claim");
-        self.remaining.fetch_sub(1, Ordering::Release);
-        if !stolen.is_empty() {
-            self.queues[thief]
-                .lock()
-                .expect("steal deque lock")
-                .extend(stolen);
-        }
-        Some(first)
-    }
-}
-
-/// Tiny deterministic generator (SplitMix64) for victim-order shuffles,
-/// seeded per worker index so steal order is reproducible run to run.
-struct VictimRng(u64);
-
-impl VictimRng {
-    fn new(worker: usize) -> Self {
-        VictimRng((worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5EED_C0DE)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn shuffle(&mut self, items: &mut [usize]) {
-        for i in (1..items.len()).rev() {
-            let j = (self.next() % (i as u64 + 1)) as usize;
-            items.swap(i, j);
-        }
-    }
-}
-
 impl Campaign {
     /// Runs `descriptors` on a scoped worker pool and feeds every
     /// [`RunUpdate`] to `sink` on the calling thread, in completion order.
@@ -529,12 +355,11 @@ impl Campaign {
         };
         let null: Arc<dyn Recorder> = Arc::new(NullRecorder);
 
-        // Each claim pulls `batch` consecutive canonical-order descriptors;
-        // width 1 is the classic per-chip path. Both schedules hand out the
-        // same claims, only in a different worker-to-claim assignment.
+        // Each claim pulls `batch` consecutive canonical-order descriptors,
+        // handed out in canonical order by one shared cursor.
         let batch = self.batch().get();
         let claims = descriptors.len().div_ceil(batch);
-        let queue = WorkQueue::new(options.schedule, claims, workers);
+        let cursor = AtomicUsize::new(0);
         let cores = match options.pinning {
             Pinning::None => Vec::new(),
             Pinning::Cores => core_affinity::get_core_ids().unwrap_or_default(),
@@ -550,8 +375,8 @@ impl Campaign {
                 let worker_recorder: Arc<dyn Recorder> = buffers
                     .get(worker)
                     .map_or_else(|| Arc::clone(&null), |b| Arc::clone(b) as Arc<dyn Recorder>);
-                let (queue, stop, failure, in_flight, cores) =
-                    (&queue, &stop, &failure, &in_flight, &cores);
+                let (cursor, stop, failure, in_flight, cores) =
+                    (&cursor, &stop, &failure, &in_flight, &cores);
                 scope.spawn(move || {
                     worker_recorder.set_context(SpanContext {
                         worker: Some(worker as u64),
@@ -564,48 +389,24 @@ impl Campaign {
                             worker_recorder.counter("campaign.workers_pinned", 1);
                         }
                     }
-                    let mut rng = VictimRng::new(worker);
-                    let mut scratch = Vec::new();
                     let mut busy = Duration::ZERO;
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
+                    while !stop.load(Ordering::Relaxed) {
+                        let claim_id = cursor.fetch_add(1, Ordering::Relaxed);
+                        if claim_id >= claims {
                             break;
                         }
-                        let Some(claim_id) = queue.next_claim(
-                            worker,
-                            &mut rng,
-                            &mut scratch,
-                            stop,
-                            worker_recorder.as_ref(),
-                        ) else {
-                            break;
-                        };
                         let start = claim_id * batch;
                         let end = (start + batch).min(descriptors.len());
-                        let claim = &descriptors[start..end];
                         let began = Instant::now();
-                        let outcome = if claim.len() == 1 {
-                            self.run_descriptor(
-                                &claim[0],
-                                in_flight,
-                                options,
-                                &worker_recorder,
-                                worker,
-                                stop,
-                                &tx,
-                            )
-                            .map_err(|error| (claim[0].index, error))
-                        } else {
-                            self.run_batch(
-                                claim,
-                                in_flight,
-                                options,
-                                &worker_recorder,
-                                worker,
-                                stop,
-                                &tx,
-                            )
-                        };
+                        let outcome = self.run_claim(
+                            &descriptors[start..end],
+                            in_flight,
+                            options,
+                            &worker_recorder,
+                            worker,
+                            stop,
+                            &tx,
+                        );
                         busy += began.elapsed();
                         if let Err((index, error)) = outcome {
                             failure.record(index, error, stop);
@@ -668,124 +469,16 @@ impl Campaign {
         }
     }
 
-    /// Runs one descriptor to completion (or until `stop` is raised),
-    /// translating panics and gate refusals into [`ExecutorError`]s.
-    #[allow(clippy::too_many_arguments)]
-    fn run_descriptor(
-        &self,
-        descriptor: &RunDescriptor,
-        in_flight: &Mutex<Option<InFlightState>>,
-        options: &ExecutorOptions<'_>,
-        recorder: &Arc<dyn Recorder>,
-        worker: usize,
-        stop: &AtomicBool,
-        tx: &Sender<RunUpdate>,
-    ) -> Result<(), ExecutorError> {
-        let gate = |site: GateSite| match options.gate {
-            Some(gate) => gate(site, descriptor).map_err(|source| ExecutorError::RunAborted {
-                kind: descriptor.kind,
-                chip: descriptor.chip,
-                source,
-            }),
-            None => Ok(()),
-        };
-        let body = catch_unwind(AssertUnwindSafe(|| -> Result<(), ExecutorError> {
-            gate(GateSite::Run)?;
-            // Causal context: every signal this run emits is joinable back
-            // to its grid cell. The engine refines it with the epoch field.
-            let run_ctx = SpanContext {
-                run: Some(descriptor.index as u64),
-                chip: Some(descriptor.chip as u64),
-                epoch: None,
-                worker: Some(worker as u64),
-            };
-            recorder.set_context(run_ctx);
-            let chip_span = recorder.span("campaign.chip");
-            let system = self.system_for(descriptor.chip);
-            let policy = descriptor
-                .kind
-                .instantiate(self.config().workload_seed ^ descriptor.chip as u64);
-            let mut engine = SimulationEngine::new(system, policy, self.config())
-                .with_recorder(Arc::clone(recorder))
-                .with_span_context(run_ctx);
-
-            let resume = {
-                let mut slot = in_flight.lock().expect("in-flight lock");
-                if slot.as_ref().is_some_and(|s| s.index == descriptor.index) {
-                    slot.take()
-                } else {
-                    None
-                }
-            };
-            let (mut metrics, start_epoch) = match resume {
-                Some(state) => {
-                    engine.restore(&state.snapshot).map_err(|source| {
-                        ExecutorError::RunAborted {
-                            kind: descriptor.kind,
-                            chip: descriptor.chip,
-                            source: Box::new(source),
-                        }
-                    })?;
-                    (state.partial, state.snapshot.next_epoch)
-                }
-                None => (engine.start_metrics(), 0),
-            };
-
-            let epoch_count = self.config().epoch_count();
-            for epoch in start_epoch..epoch_count {
-                if stop.load(Ordering::Relaxed) {
-                    chip_span.cancel(); // abandoned: someone else failed
-                    return Ok(());
-                }
-                gate(GateSite::Epoch)?;
-                metrics.epochs.push(engine.run_epoch(epoch));
-                let done = epoch + 1;
-                if let Some(every) = options.snapshot_every {
-                    if done < epoch_count && done % every.max(1) == 0 {
-                        let _ = tx.send(RunUpdate::Progress {
-                            index: descriptor.index,
-                            partial: metrics.clone(),
-                            snapshot: Box::new(engine.snapshot(done)),
-                        });
-                    }
-                }
-            }
-            engine.finalize_metrics(&mut metrics);
-            recorder.counter("campaign.runs_completed", 1);
-            let _ = tx.send(RunUpdate::Completed {
-                index: descriptor.index,
-                metrics: Box::new(metrics),
-            });
-            Ok(())
-        }));
-
-        // Back to worker-only context whatever happened, so signals between
-        // runs (and the worker span itself) never carry a stale run tag.
-        recorder.set_context(SpanContext {
-            worker: Some(worker as u64),
-            ..SpanContext::default()
-        });
-        match body {
-            Ok(run_result) => run_result,
-            Err(payload) => Err(ExecutorError::WorkerPanic {
-                kind: descriptor.kind,
-                chip: descriptor.chip,
-                // `as_ref` matters: coercing `&payload` would unsize the
-                // *Box* into `dyn Any` and every downcast would miss.
-                message: panic_message(payload.as_ref()),
-            }),
-        }
-    }
-
-    /// Runs one claim of ≥ 2 descriptors in lockstep through a [`ChipBatch`]
-    /// (or until `stop` is raised). Per lane, the engine performs exactly
-    /// the call sequence of [`run_descriptor`](Self::run_descriptor) —
-    /// decision, window steps, upscale, snapshot cadence, completion — so
-    /// merged campaign output is byte-identical to per-chip execution.
-    /// Errors carry the descriptor index they surfaced on, for the
-    /// deterministic failure slot.
+    /// Runs one claim — one or more consecutive canonical-order descriptors
+    /// — through a [`ChipBatch`] until every lane completes or `stop` is
+    /// raised, translating panics and gate/restore refusals into
+    /// [`ExecutorError`]s. Per lane, the engine performs the call sequence
+    /// of a serial run — decision, window steps, upscale, snapshot cadence,
+    /// completion — so merged campaign output is byte-identical for any
+    /// batch width. Errors carry the descriptor index they surfaced on, for
+    /// the deterministic failure slot.
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn run_batch(
+    fn run_claim(
         &self,
         claim: &[RunDescriptor],
         in_flight: &Mutex<Option<InFlightState>>,
@@ -816,6 +509,9 @@ impl Campaign {
                 let mut spans = Vec::with_capacity(claim.len());
                 for descriptor in claim {
                     gate(GateSite::Run, descriptor)?;
+                    // Causal context: every signal this run emits is
+                    // joinable back to its grid cell. The engine refines
+                    // it with the epoch field.
                     let run_ctx = SpanContext {
                         run: Some(descriptor.index as u64),
                         chip: Some(descriptor.chip as u64),

@@ -420,6 +420,26 @@ mod tests {
     }
 
     #[test]
+    fn hostile_epoch_count_is_corrupt_not_an_overflow() {
+        let mut buf = Vec::new();
+        let mut w = RunFileWriter::new(&mut buf, 0.5).unwrap();
+        w.push(&run("Hayat", 0, 3)).unwrap();
+        w.push(&run("Hayat", 1, 5)).unwrap();
+        w.finish().unwrap();
+        // The per-run epoch-count column holds [3, 5]; claim u64::MAX
+        // epochs for the second run.
+        let column: Vec<u8> = [3u64, 5].iter().flat_map(|n| n.to_le_bytes()).collect();
+        let at = buf
+            .windows(column.len())
+            .position(|window| window == column.as_slice())
+            .expect("epoch-count column");
+        buf[at + 8..at + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let result: Result<Vec<RunMetrics>, _> =
+            RunFileReader::new(buf.as_slice()).unwrap().collect();
+        assert!(matches!(result, Err(RunFmtError::Corrupt { .. })));
+    }
+
+    #[test]
     fn path_helpers_round_trip() {
         let dir = std::env::temp_dir().join("hayat-runfmt-test");
         std::fs::create_dir_all(&dir).unwrap();

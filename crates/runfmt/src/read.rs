@@ -125,14 +125,15 @@ impl<R: Read> RunFileReader<R> {
                 usize::try_from(run_cols[7][row]).map_err(|_| RunFmtError::Corrupt {
                     detail: "per-run epoch count overflows usize".to_owned(),
                 })?;
-            if epoch_at + epoch_count > epochs_total {
-                return Err(RunFmtError::Corrupt {
+            let epoch_end = epoch_at
+                .checked_add(epoch_count)
+                .filter(|&end| end <= epochs_total)
+                .ok_or_else(|| RunFmtError::Corrupt {
                     detail: format!(
                         "per-run epoch counts exceed the group total of {epochs_total}"
                     ),
-                });
-            }
-            let epochs = (epoch_at..epoch_at + epoch_count)
+                })?;
+            let epochs = (epoch_at..epoch_end)
                 .map(|e| EpochRecord {
                     epoch: epoch_cols[0][e] as usize,
                     years: f64::from_bits(epoch_cols[1][e]),
@@ -148,7 +149,7 @@ impl<R: Read> RunFileReader<R> {
                     throughput_fraction: f64::from_bits(epoch_cols[11][e]),
                 })
                 .collect();
-            epoch_at += epoch_count;
+            epoch_at = epoch_end;
             self.decoded.push_back(RunMetrics {
                 policy,
                 chip_id: run_cols[1][row] as usize,

@@ -4,7 +4,7 @@
 //! repeated crash/resume cycles.
 
 use hayat::sim::campaign::PolicyKind;
-use hayat::{Campaign, Jobs, Schedule, SearchPath, SimulationConfig, SimulationEngine};
+use hayat::{Batch, Campaign, Jobs, SearchPath, SimulationConfig, SimulationEngine};
 use hayat_checkpoint::{
     CampaignCheckpointExt, CheckpointError, Checkpointer, FailMode, FailPoint, FAILPOINT_CHIP,
     FAILPOINT_EPOCH,
@@ -185,39 +185,43 @@ fn parallel_checkpointed_run_matches_serial_and_uncheckpointed() {
 }
 
 #[test]
-fn checkpoint_resumes_byte_identical_across_schedule_changes() {
-    // The schedule is not part of the checkpoint: completed runs are keyed
-    // by canonical descriptor index, so a campaign checkpointed under the
-    // static cursor resumes under work stealing (and vice versa) to the
-    // same bytes as an uninterrupted run.
-    let campaign = Campaign::new(tiny_config(0.5)).unwrap();
+fn checkpoint_resumes_byte_identical_across_jobs_and_batch_changes() {
+    // Neither the worker count nor the batch width is part of the
+    // checkpoint: completed runs are keyed by canonical descriptor index,
+    // so a campaign checkpointed under one (jobs, batch) pair resumes under
+    // another to the same bytes as an uninterrupted run.
+    let campaign = |batch: usize| {
+        Campaign::new(tiny_config(0.5))
+            .unwrap()
+            .with_batch(Batch::new(batch).unwrap())
+    };
     let policies = [PolicyKind::Hayat, PolicyKind::Vaa];
-    let uninterrupted = campaign.run(&policies);
+    let uninterrupted = campaign(1).run(&policies);
 
-    for (from, to) in [
-        (Schedule::Static, Schedule::Steal),
-        (Schedule::Steal, Schedule::Static),
-    ] {
-        let path = scratch(&format!("sched_{from}_{to}"));
+    for ((from_jobs, from_batch), (to_jobs, to_batch)) in
+        [((1, 1), (2, 3)), ((2, 3), (1, 1)), ((2, 1), (1, 2))]
+    {
+        let path = scratch(&format!(
+            "jobs_batch_{from_jobs}x{from_batch}_{to_jobs}x{to_batch}"
+        ));
         let interrupted = Checkpointer::new(&path)
             .every(1)
-            .jobs(Jobs::new(2).unwrap())
-            .schedule(from)
+            .jobs(Jobs::new(from_jobs).unwrap())
             .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 5, FailMode::Error))
-            .run(&campaign, &policies);
+            .run(&campaign(from_batch), &policies);
         assert!(
             matches!(interrupted, Err(CheckpointError::Injected(_))),
-            "the armed fail point must abort the {from}-scheduled campaign"
+            "the armed fail point must abort the jobs {from_jobs} x batch {from_batch} campaign"
         );
 
         let resumed = Checkpointer::new(&path)
-            .jobs(Jobs::new(2).unwrap())
-            .schedule(to)
-            .resume(&campaign)
+            .jobs(Jobs::new(to_jobs).unwrap())
+            .resume(&campaign(to_batch))
             .unwrap();
         assert_eq!(
             resumed, uninterrupted,
-            "checkpointed under {from}, resumed under {to}"
+            "checkpointed under jobs {from_jobs} x batch {from_batch}, \
+             resumed under jobs {to_jobs} x batch {to_batch}"
         );
         assert_eq!(
             serde_json::to_string(&resumed).unwrap(),
