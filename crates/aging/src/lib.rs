@@ -57,4 +57,4 @@ pub use crate::health::{Health, HealthMap};
 pub use crate::model::AgingModel;
 pub use crate::nbti::NbtiModel;
 pub use crate::path::CriticalPath;
-pub use crate::table::{AgeCurve, AgeCurveScratch, AgingTable, TableAxes, TablePath};
+pub use crate::table::{AgeCurve, AgeCurveScratch, AgingTable, TableAxes};

@@ -77,62 +77,6 @@ impl Default for TableAxes {
     }
 }
 
-/// Which health-advance implementation a decision path uses.
-///
-/// Numerically the two paths compute the same function — the collapsed
-/// [`AgeCurve`] *is* the trilinear interpolant restricted to a fixed
-/// (temperature, duty) — so they differ only in floating-point rounding
-/// (≈1e-15) and speed. The oracle is kept as the cross-validation reference;
-/// the determinism gate runs a campaign under each and compares output
-/// byte-for-byte.
-///
-/// Deliberately *not* part of `SimulationConfig`: like the worker count, the
-/// table path must never influence results or checkpoint compatibility (the
-/// checkpoint config hash fingerprints only physics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TablePath {
-    /// Collapse to a 1D age curve once per (temperature, duty) query and
-    /// invert it directly. The default.
-    #[default]
-    Fast,
-    /// The original 64-iteration bisection over trilinear lookups.
-    Oracle,
-}
-
-impl TablePath {
-    /// Human-readable name (matches the `FromStr` spelling).
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            TablePath::Fast => "fast",
-            TablePath::Oracle => "oracle",
-        }
-    }
-
-    /// How many trilinear-lookup-equivalents one health advance costs:
-    /// the oracle pays up to 2 clamp probes + 64 bisection steps + 1 final
-    /// read; the fast path pays a single bilinear collapse.
-    #[must_use]
-    pub const fn lookups_per_advance(self) -> u64 {
-        match self {
-            TablePath::Fast => 1,
-            TablePath::Oracle => 67,
-        }
-    }
-}
-
-impl std::str::FromStr for TablePath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fast" => Ok(TablePath::Fast),
-            "oracle" => Ok(TablePath::Oracle),
-            other => Err(format!("unknown table path {other:?} (fast|oracle)")),
-        }
-    }
-}
-
 /// The offline-generated 3D aging table: relative frequency (aged `fmax`
 /// over initial `fmax`, in `(0, 1]`) for every (temperature, duty, age)
 /// grid point, with trilinear interpolation in between.
@@ -270,9 +214,9 @@ impl AgingTable {
     /// healths below the end-of-table value map to the table's last age.
     ///
     /// This is the *oracle* inversion: 64 bisection steps, each a full
-    /// trilinear lookup. The decision path uses
-    /// [`AgeCurve::equivalent_age`] instead, which inverts the same
-    /// interpolant directly; this path is kept for cross-validation.
+    /// trilinear lookup, behind [`advance`](Self::advance). The decision
+    /// path uses [`AgeCurve::equivalent_age`] instead, which inverts the
+    /// same interpolant directly.
     ///
     /// # Panics
     ///
@@ -310,11 +254,11 @@ impl AgingTable {
     /// A zero duty cycle (dark core) leaves health unchanged: NBTI stress
     /// requires an active gate bias.
     ///
-    /// This is the *oracle* advance ([`TablePath::Oracle`]) — built on the
-    /// bisection of [`equivalent_age`](Self::equivalent_age). The engine's
-    /// end-of-epoch health upscale always uses it (it is the canonical path
-    /// results files are defined against); policies use
-    /// [`AgeCurve::advance`] unless cross-validating.
+    /// This is the *oracle* advance, built on the bisection of
+    /// [`equivalent_age`](Self::equivalent_age). The engine's end-of-epoch
+    /// health upscale uses it (it is the canonical path results files are
+    /// defined against); the policies' candidate estimates use
+    /// [`AgeCurve::advance`], which tests hold to this within 1e-12.
     ///
     /// # Panics
     ///
@@ -342,7 +286,7 @@ impl AgingTable {
     /// the four surrounding age rows bilinearly — after which every
     /// operation on the returned [`AgeCurve`] (lookup, inversion, epoch
     /// advance) is O(log n) on 1D data instead of a fresh trilinear walk.
-    /// This is the [`TablePath::Fast`] decision path.
+    /// The policies' candidate health estimates run through it.
     ///
     /// # Panics
     ///
@@ -785,24 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn age_curve_advance_matches_oracle() {
-        let t = table();
-        let mut scratch = AgeCurveScratch::new();
-        let (temp, d) = (Kelvin::new(377.3), DutyCycle::new(0.65));
-        let curve = t.age_curve(temp, d, &mut scratch);
-        for &h in &[1.0, 0.995, 0.97, 0.9, 0.8] {
-            for &e in &[0.0, 0.25, 0.5, 2.0] {
-                let fast = curve.advance(h, Years::new(e));
-                let oracle = t.advance(temp, d, h, Years::new(e));
-                assert!(
-                    (fast - oracle).abs() < 1e-9,
-                    "h={h} e={e}: {fast} vs {oracle}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn age_curve_inversion_round_trips() {
         let t = table();
         let mut scratch = AgeCurveScratch::new();
@@ -863,15 +789,5 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let truncated = json.replacen("[[[", "[[", 1);
         assert!(serde_json::from_str::<AgingTable>(&truncated).is_err());
-    }
-
-    #[test]
-    fn table_path_parses_and_names() {
-        assert_eq!("fast".parse::<TablePath>().unwrap(), TablePath::Fast);
-        assert_eq!("oracle".parse::<TablePath>().unwrap(), TablePath::Oracle);
-        assert!("trilinear".parse::<TablePath>().is_err());
-        assert_eq!(TablePath::default(), TablePath::Fast);
-        assert_eq!(TablePath::Fast.name(), "fast");
-        assert!(TablePath::Oracle.lookups_per_advance() > TablePath::Fast.lookups_per_advance());
     }
 }

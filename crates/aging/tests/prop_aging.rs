@@ -1,8 +1,10 @@
 //! Property tests for the aging substrate: the physical monotonicities of
-//! Eq. 7/8 for arbitrary (bounded) inputs, table-vs-model agreement, and
-//! serde round-trips.
+//! Eq. 7/8 for arbitrary (bounded) inputs, table-vs-model agreement, the
+//! age-curve inversion against its bisection oracle, and serde round-trips.
 
-use hayat_aging::{AgingModel, AgingTable, CriticalPath, Health, HealthMap, NbtiModel, TableAxes};
+use hayat_aging::{
+    AgeCurveScratch, AgingModel, AgingTable, CriticalPath, Health, HealthMap, NbtiModel, TableAxes,
+};
 use hayat_units::{DutyCycle, Kelvin, Volts, Years};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -10,6 +12,17 @@ use std::sync::OnceLock;
 fn table() -> &'static AgingTable {
     static TABLE: OnceLock<AgingTable> = OnceLock::new();
     TABLE.get_or_init(|| AgingTable::generate(&AgingModel::paper(2), &TableAxes::paper()))
+}
+
+/// Uniform over `[lo, hi]`, except that one draw in eight lands exactly on
+/// each endpoint: a uniform draw alone never hits the boundaries the
+/// advance special-cases (zero duty, zero epoch, full health).
+fn with_edges(lo: f64, hi: f64) -> impl Strategy<Value = f64> {
+    (0u8..8, lo..=hi).prop_map(move |(k, x)| match k {
+        0 => lo,
+        1 => hi,
+        _ => x,
+    })
 }
 
 proptest! {
@@ -115,6 +128,30 @@ proptest! {
         let json = serde_json::to_string(&map).expect("serialize");
         let back: HealthMap = serde_json::from_str(&json).expect("deserialize");
         prop_assert_eq!(back, map);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    // The policies advance candidate health through the collapsed age curve;
+    // the bisection advance is its reference. Temperatures reach past both
+    // ends of the 300–430 K axis, so the clamped edges are covered too.
+    #[test]
+    fn age_curve_advance_matches_the_bisection_oracle(
+        t in with_edges(290.0, 440.0),
+        duty in with_edges(0.0, 1.0),
+        health in with_edges(0.01, 1.0),
+        epoch in with_edges(0.0, 10.0),
+    ) {
+        let (t, duty, epoch) = (Kelvin::new(t), DutyCycle::new(duty), Years::new(epoch));
+        let mut scratch = AgeCurveScratch::new();
+        let fast = table().age_curve(t, duty, &mut scratch).advance(health, epoch);
+        let oracle = table().advance(t, duty, health, epoch);
+        prop_assert!(
+            (fast - oracle).abs() <= 1e-12,
+            "(t={t:?}, duty={duty:?}, health={health}, epoch={epoch:?}): {fast} vs {oracle}"
+        );
     }
 }
 

@@ -36,9 +36,8 @@ use std::time::Duration;
 use hayat::sim::campaign::PolicyKind;
 use hayat::{
     Batch, Campaign, CampaignResult, DynError, FleetAccumulator, Jobs, Pinning, ProgressOptions,
-    RunMetrics, SearchPath, SimulationConfig,
+    RunMetrics, SimulationConfig,
 };
-use hayat_aging::TablePath;
 use hayat_bench::env_default;
 use hayat_checkpoint::{Checkpointer, FailPoint, ShardedCheckpointer};
 use hayat_runfmt::RunFileWriter;
@@ -66,8 +65,6 @@ struct Args {
     jobs: Jobs,
     batch: Batch,
     pin: Pinning,
-    table_path: TablePath,
-    search_path: SearchPath,
     fleet: Option<usize>,
     run_format_path: Option<String>,
     export_json_path: Option<String>,
@@ -81,7 +78,6 @@ fn usage() -> ! {
         "usage: campaign [--dark F] [--chips N] [--years Y] [--epoch Y] \
          [--window S] [--seed N] [--mesh N] [--floorplan RxC] \
          [--jobs N|auto] [--batch N] [--pin none|cores] \
-         [--table-path fast|oracle] [--search-path tiled|exhaustive] \
          [--policies vaa,hayat,coolest,random] [--csv DIR] [--json FILE] \
          [--telemetry FILE.jsonl] [--fleet-stats FILE.json] \
          [--progress SECS] [--progress-jsonl FILE.jsonl] \
@@ -106,13 +102,6 @@ fn usage() -> ! {
          through the batched SoA thermal/policy kernels (default 1); like \
          --jobs it is a pure execution knob — output is byte-identical for \
          every width. \
-         --table-path selects the policies' aging-table inversion: the \
-         direct age-curve inversion (fast, default) or the bisection \
-         oracle it replaces — output is byte-identical for both. \
-         --search-path selects the policies' candidate search: the tiled \
-         branch-and-bound index (tiled, default — sub-quadratic on large \
-         floorplans) or the exhaustive oracle scan it prunes — output is \
-         byte-identical for both. \
          --floorplan RxC simulates an R-row × C-column core mesh (e.g. \
          32x32 or 16x64; overrides --mesh, which stays as the square \
          shorthand). \
@@ -197,8 +186,6 @@ fn parse_args() -> Args {
         jobs: env_default(Jobs::from_env),
         batch: Batch::serial(),
         pin: env_default(Pinning::from_env),
-        table_path: TablePath::default(),
-        search_path: SearchPath::default(),
         fleet: None,
         run_format_path: None,
         export_json_path: None,
@@ -251,18 +238,6 @@ fn parse_args() -> Args {
             }
             "--pin" => {
                 args.pin = value("--pin").parse().unwrap_or_else(|msg| {
-                    eprintln!("{msg}");
-                    usage()
-                });
-            }
-            "--table-path" => {
-                args.table_path = value("--table-path").parse().unwrap_or_else(|msg| {
-                    eprintln!("{msg}");
-                    usage()
-                });
-            }
-            "--search-path" => {
-                args.search_path = value("--search-path").parse().unwrap_or_else(|msg| {
                     eprintln!("{msg}");
                     usage()
                 });
@@ -575,8 +550,6 @@ fn main() {
 
     let campaign = Campaign::new(config)
         .expect("configuration is valid")
-        .with_table_path(args.table_path)
-        .with_search_path(args.search_path)
         .with_batch(args.batch)
         .with_pinning(args.pin);
     if let Some((kind, chip)) = args.replay {

@@ -17,11 +17,9 @@
 //!
 //! `--jobs N|auto` (default `auto` = available parallelism) runs the
 //! campaign grid on N worker threads; output is byte-identical for any N.
-//! `--pin none|cores` pins workers to cores, `--batch N` runs N
+//! `--pin none|cores` pins workers to cores and `--batch N` runs N
 //! consecutive chips in lockstep per worker claim through the batched SoA
-//! kernels, and `--search-path tiled|exhaustive` selects the policies'
-//! candidate search (tiled branch-and-bound index vs the oracle scan it
-//! prunes) — all pure execution knobs with byte-identical output. The
+//! kernels — both pure execution knobs with byte-identical output. The
 //! `HAYAT_JOBS` and `HAYAT_PIN` environment variables set the defaults;
 //! flags override.
 //!
@@ -48,9 +46,7 @@ use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 use hayat::sim::campaign::PolicyKind;
-use hayat::{
-    Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, Pinning, SearchPath, SimulationConfig,
-};
+use hayat::{Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, Pinning, SimulationConfig};
 use hayat_bench::{bar_row, env_default, section};
 use hayat_checkpoint::{Checkpointer, FailPoint};
 use hayat_telemetry::{JsonlRecorder, NullRecorder, Recorder};
@@ -74,7 +70,6 @@ struct Args {
     jobs: Jobs,
     pin: Pinning,
     batch: Batch,
-    search_path: SearchPath,
     /// `--floorplan RxC` mesh override, e.g. 32x32 or 16x64.
     floorplan: Option<(usize, usize)>,
 }
@@ -83,8 +78,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: fig7_10 [--quick] [--json DIR] [--telemetry FILE.jsonl] \
          [--fleet-stats STEM] [--checkpoint STEM | --resume STEM] [--every EPOCHS] \
-         [--jobs N|auto] [--batch N] [--pin none|cores] \
-         [--search-path tiled|exhaustive] [--floorplan RxC]"
+         [--jobs N|auto] [--batch N] [--pin none|cores] [--floorplan RxC]"
     );
     std::process::exit(2)
 }
@@ -113,7 +107,6 @@ fn parse_args() -> Args {
         jobs: env_default(Jobs::from_env),
         pin: env_default(Pinning::from_env),
         batch: Batch::serial(),
-        search_path: SearchPath::default(),
         floorplan: None,
     };
     let mut it = std::env::args().skip(1);
@@ -135,7 +128,6 @@ fn parse_args() -> Args {
             "--jobs" => args.jobs = parse(&flag, &value()),
             "--pin" => args.pin = parse(&flag, &value()),
             "--batch" => args.batch = parse(&flag, &value()),
-            "--search-path" => args.search_path = parse(&flag, &value()),
             "--floorplan" => {
                 let spec = value();
                 let mesh = spec
@@ -177,7 +169,6 @@ fn main() {
         jobs,
         pin,
         batch,
-        search_path,
         floorplan,
     } = parse_args();
     let recorder = telemetry_path
@@ -199,8 +190,7 @@ fn main() {
         let campaign = Campaign::new(config)
             .expect("paper configuration is valid")
             .with_pinning(pin)
-            .with_batch(batch)
-            .with_search_path(search_path);
+            .with_batch(batch);
         let policies = [PolicyKind::Vaa, PolicyKind::Hayat];
         let fleet = fleet_stem
             .as_ref()

@@ -1,6 +1,7 @@
 //! The figure binaries reject flags they cannot honour: an unknown flag, or
 //! a flag missing its value, prints the usage and exits with status 2
-//! before anything runs — never a silently ignored flag.
+//! before anything runs — never a silently ignored flag. Hostile input
+//! files are rejected with an error, never a crash.
 
 use std::process::Command;
 
@@ -34,21 +35,43 @@ fn fig7_10_rejects_unknown_and_incomplete_flags() {
     assert_rejected(bin, &["quick"], "unknown flag \"quick\"");
     assert_rejected(bin, &["--quick", "--every", "two"], "--every \"two\"");
     assert_rejected(bin, &["--quick", "--every", "2"], "--every requires");
-    assert_rejected(
-        bin,
-        &["--quick", "--schedule", "steal"],
-        "unknown flag \"--schedule\"",
-    );
+    for removed in [["--schedule", "steal"], ["--search-path", "exhaustive"]] {
+        let args = ["--quick", removed[0], removed[1]];
+        assert_rejected(bin, &args, &format!("unknown flag {:?}", removed[0]));
+    }
 }
 
 #[test]
-fn campaign_rejects_the_removed_schedule_flag() {
+fn campaign_rejects_removed_flags() {
     let bin = env!("CARGO_BIN_EXE_campaign");
-    assert_rejected(
-        bin,
-        &["--chips", "1", "--schedule", "steal"],
-        "unknown flag \"--schedule\"",
-    );
+    for removed in [
+        ["--schedule", "steal"],
+        ["--table-path", "oracle"],
+        ["--search-path", "exhaustive"],
+    ] {
+        let args = ["--chips", "1", removed[0], removed[1]];
+        assert_rejected(bin, &args, &format!("unknown flag {:?}", removed[0]));
+    }
+}
+
+#[test]
+fn campaign_rejects_deeply_nested_json_without_crashing() {
+    let dir = std::env::temp_dir().join(format!("hayat_cli_nested_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let src = dir.join("nested.json");
+    let depth = 200_000;
+    std::fs::write(&src, "[".repeat(depth) + &"]".repeat(depth)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .arg("--from-json")
+        .arg(&src)
+        .arg("--run-format")
+        .arg(dir.join("out.runfmt"))
+        .output()
+        .expect("run binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("is not a campaign result JSON"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -205,9 +205,9 @@ impl CampaignCheckpoint {
     }
 
     /// Writes the checkpoint *atomically*: serialize to `<path>.tmp` in
-    /// the same directory, fsync, then `rename` over `path`. A crash at
-    /// any instant leaves either the previous checkpoint or the new one —
-    /// never a torn file.
+    /// the same directory, fsync, `rename` over `path`, then fsync the
+    /// directory. A crash at any instant leaves either the previous
+    /// checkpoint or the new one — never a torn file.
     ///
     /// Returns the number of bytes written.
     ///
@@ -215,22 +215,8 @@ impl CampaignCheckpoint {
     ///
     /// Returns [`CheckpointError::Io`] when the filesystem refuses.
     pub fn save(&self, path: &Path) -> Result<u64, CheckpointError> {
-        let io_err = |source| CheckpointError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
         let json = serde_json::to_string(self).expect("checkpoint structs always serialize");
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-            file.write_all(json.as_bytes()).map_err(io_err)?;
-            // The rename only makes the *name* durable; the data must hit
-            // the disk first or a power cut could publish an empty file.
-            file.sync_all().map_err(io_err)?;
-        }
-        std::fs::rename(&tmp, path).map_err(io_err)?;
+        write_atomic(path, json.as_bytes())?;
         Ok(json.len() as u64)
     }
 
@@ -283,6 +269,33 @@ impl CampaignCheckpoint {
 #[derive(Deserialize)]
 struct VersionProbe {
     version: u32,
+}
+
+/// Replaces `path` with `bytes` durably: write `<path>.tmp` in the same
+/// directory, fsync it, `rename` it over `path`, then fsync the directory.
+/// The first fsync keeps a power cut from publishing an empty file under
+/// the new name; the last one makes the rename itself survive.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let io_err = |source| CheckpointError::Io {
+        path: path.to_path_buf(),
+        source,
+    };
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
+        file.write_all(bytes).map_err(io_err)?;
+        file.sync_all().map_err(io_err)?;
+    }
+    std::fs::rename(&tmp, path).map_err(io_err)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)
+        .and_then(|dir| dir.sync_all())
+        .map_err(io_err)
 }
 
 #[cfg(test)]
@@ -359,6 +372,20 @@ mod tests {
         assert!(matches!(
             CampaignCheckpoint::load(&dir.join("missing.ckpt")),
             Err(CheckpointError::Io { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn deeply_nested_json_is_corrupt_not_a_stack_overflow() {
+        let dir = std::env::temp_dir().join("hayat_ckpt_nested");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("nested.ckpt");
+        let depth = 200_000;
+        std::fs::write(&path, "[".repeat(depth) + &"]".repeat(depth)).unwrap();
+        assert!(matches!(
+            CampaignCheckpoint::load(&path),
+            Err(CheckpointError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -44,7 +44,7 @@
 //! loses committed work beyond one shard, and none can drop or
 //! double-count a run.
 
-use crate::checkpoint::{config_hash, CheckpointError, InFlightRun};
+use crate::checkpoint::{config_hash, write_atomic, CheckpointError, InFlightRun};
 use crate::failpoint::FailPoint;
 use crate::runner::{DEFAULT_EVERY_EPOCHS, FAILPOINT_CHIP, FAILPOINT_EPOCH};
 use hayat::{
@@ -54,7 +54,6 @@ use hayat::{
 use hayat_telemetry::{NullRecorder, Recorder, RecorderExt};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -114,22 +113,10 @@ impl ShardStore {
         self.dir.join(format!("shard-{index:05}.json"))
     }
 
-    /// Serializes `value` to `path` atomically (tmp + fsync + rename).
+    /// Serializes `value` to `path` through [`write_atomic`].
     fn save_json<T: Serialize>(&self, path: &Path, value: &T) -> Result<u64, CheckpointError> {
-        let io_err = |source| CheckpointError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
         let json = serde_json::to_string(value).expect("checkpoint structs always serialize");
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-            file.write_all(json.as_bytes()).map_err(io_err)?;
-            file.sync_all().map_err(io_err)?;
-        }
-        std::fs::rename(&tmp, path).map_err(io_err)?;
+        write_atomic(path, json.as_bytes())?;
         Ok(json.len() as u64)
     }
 

@@ -61,7 +61,7 @@ pub use crate::dtm::{DtmController, DtmEvent, DtmOutcome};
 pub use crate::mapping::ThreadMapping;
 pub use crate::metrics::{EpochRecord, RunMetrics};
 pub use crate::policy::exhaustive::{objective, ExhaustivePolicy};
-pub use crate::policy::hayat::{HayatConfig, HayatPolicy};
+pub use crate::policy::hayat::{HayatConfig, HayatPolicy, UnprunedHayatPolicy};
 pub use crate::policy::simple::{CoolestFirstPolicy, FixedDcmPolicy, RandomPolicy};
 pub use crate::policy::vaa::VaaPolicy;
 pub use crate::policy::{
@@ -69,7 +69,7 @@ pub use crate::policy::{
 };
 pub use crate::sim::batch::ChipBatch;
 pub use crate::sim::campaign::{Campaign, CampaignResult, CampaignSummary, PolicyKind};
-pub use crate::sim::config::{Batch, Jobs, Pinning, SearchPath, SimulationConfig};
+pub use crate::sim::config::{Batch, Jobs, Pinning, SimulationConfig};
 pub use crate::sim::engine::SimulationEngine;
 pub use crate::sim::executor::{
     DynError, ExecutorError, ExecutorOptions, GateSite, InFlightState, ProgressFrame,

@@ -2,8 +2,6 @@
 
 use crate::mapping::ThreadMapping;
 use crate::policy::{Policy, PolicyContext, PolicyScratch};
-use crate::sim::config::SearchPath;
-use hayat_aging::TablePath;
 use hayat_floorplan::{CoreId, TileOverlay};
 use hayat_telemetry::RecorderExt;
 use hayat_units::{Gigahertz, Kelvin, Watts};
@@ -220,12 +218,14 @@ impl HayatPolicy {
     /// the temperature term spreads the on-set across the die.
     ///
     /// Fills `scratch.on`; expects `scratch.aged_fmax` to hold the caller's
-    /// per-decision frequency snapshot.
+    /// per-decision frequency snapshot. `prune` selects the tiled
+    /// branch-and-bound over the exhaustive scan; both pick the same cores.
     fn select_dcm(
         &self,
         ctx: &PolicyContext<'_>,
         workload: &WorkloadMix,
         n_on: usize,
+        prune: bool,
         scratch: &mut PolicyScratch,
     ) {
         let cfg = &self.config;
@@ -276,9 +276,8 @@ impl HayatPolicy {
         scratch.dcm_rise.resize(n, 0.0);
         // The tiled branch-and-bound relies on the score being monotone
         // non-increasing in the superposed rise — true only for λ ≥ 0, so a
-        // (non-paper) negative coefficient falls back to the oracle scan.
-        let tiled =
-            ctx.system.search_path() == SearchPath::Tiled && cfg.lambda_ghz_per_kelvin >= 0.0;
+        // (non-paper) negative coefficient falls back to the exhaustive scan.
+        let tiled = prune && cfg.lambda_ghz_per_kelvin >= 0.0;
         let (candidates_evaluated, candidates_pruned, tiles_scanned) = if tiled {
             self.select_dcm_tiled(ctx, n_on, cap, mean_dynamic, preserve_threshold, scratch)
         } else {
@@ -303,7 +302,8 @@ impl HayatPolicy {
             .counter("policy.dcm.tiles_scanned", tiles_scanned);
     }
 
-    /// The oracle DCM scan: every greedy step scores every still-free core.
+    /// The exhaustive DCM scan: every greedy step scores every still-free
+    /// core.
     /// Returns the candidate-evaluation count.
     fn select_dcm_exhaustive(
         &self,
@@ -563,11 +563,14 @@ impl HayatPolicy {
     /// All per-decision state (frequency and leakage snapshots, the sorted
     /// thread list, the DCM, the superposed rise vector, the recycled
     /// mapping) lives in `scratch`, so a warm scratch makes the whole
-    /// decision allocation-free.
+    /// decision allocation-free. `prune` selects the tiled candidate index
+    /// in both stages; without it every candidate is scored in full (the
+    /// reference [`UnprunedHayatPolicy`] runs).
     fn map_threads_with(
         &self,
         ctx: &PolicyContext<'_>,
         workload: &WorkloadMix,
+        prune: bool,
         scratch: &mut PolicyScratch,
     ) -> ThreadMapping {
         let _decision = ctx.recorder.span("policy.hayat.decision");
@@ -576,7 +579,6 @@ impl HayatPolicy {
         let n = fp.core_count();
         let predictor = system.predictor();
         let table = system.aging_table();
-        let table_path = system.table_path();
         let t_safe = system.thermal_config().t_safe;
         let ambient = system.thermal_config().ambient;
         let (alpha, beta) = self.config.coefficients(system.health().mean());
@@ -616,7 +618,7 @@ impl HayatPolicy {
         // Stage 1: the Dark Core Map — exactly one on-core per thread, never
         // more than the budget admits.
         let n_on = workload.total_threads().min(system.budget().max_on());
-        self.select_dcm(ctx, workload, n_on, scratch);
+        self.select_dcm(ctx, workload, n_on, prune, scratch);
 
         let mut mapping = scratch.take_mapping(n);
         // Incrementally maintained temperature rise above ambient from all
@@ -633,11 +635,11 @@ impl HayatPolicy {
         let hot_k = (n / 16).clamp(4, HOT_LANES).min(n);
         scratch.hot_lanes.clear();
         scratch.hot_lanes.extend(0..hot_k as u32);
-        // Ascending list of the DCM's on-cores. *Both* search paths walk this
-        // exact sequence (it is the same set, in the same order, as the old
-        // `fp.cores()` scan filtered on `scratch.on`), so the tiled path's
-        // `evaluated + pruned` equals the exhaustive path's evaluation count
-        // by construction.
+        // Ascending list of the DCM's on-cores. The pruned and the unpruned
+        // search *both* walk this exact sequence (it is the same set, in the
+        // same order, as the old `fp.cores()` scan filtered on
+        // `scratch.on`), so the tiled path's `evaluated + pruned` equals the
+        // exhaustive path's evaluation count by construction.
         scratch.on_list.clear();
         for ci in 0..n {
             if scratch.on[ci] {
@@ -647,8 +649,8 @@ impl HayatPolicy {
         // The Eq. 9 prune bounds the health term by `β` (the aging table
         // never lets health grow, so `health_next / health_now ≤ 1`). A
         // (non-paper) negative β flips that bound, so it falls back to the
-        // oracle scan.
-        let stage2_tiled = system.search_path() == SearchPath::Tiled && beta >= 0.0;
+        // exhaustive scan.
+        let stage2_tiled = prune && beta >= 0.0;
         let mut candidates_evaluated: u64 = 0;
         let mut candidates_pruned: u64 = 0;
         let mut dcm_swaps: u64 = 0;
@@ -746,19 +748,14 @@ impl HayatPolicy {
                         // own next temperature yields the exact Eq. 9 weight
                         // without the O(cores) peak/average scan. Candidates
                         // pruned here may advance the table where the
-                        // oracle's T_safe filter would not have, so
+                        // exhaustive scan's T_safe filter would not have, so
                         // `advances` (and `policy.table_lookups`)
-                        // legitimately differ across search paths; the
+                        // legitimately differ from the unpruned search; the
                         // mapping cannot.
                         advances += 1;
-                        let health_next = match table_path {
-                            TablePath::Oracle => {
-                                table.advance(Kelvin::new(t_self), duty, health_now, ctx.horizon)
-                            }
-                            TablePath::Fast => table
-                                .age_curve(Kelvin::new(t_self), duty, &mut scratch.age_curve)
-                                .advance(health_now, ctx.horizon),
-                        };
+                        let health_next = table
+                            .age_curve(Kelvin::new(t_self), duty, &mut scratch.age_curve)
+                            .advance(health_now, ctx.horizon);
                         let w = self.weight(
                             alpha,
                             beta,
@@ -845,22 +842,16 @@ impl HayatPolicy {
                     continue;
                 }
 
-                // Line 15: candidate's next health over the horizon. The
-                // fast path collapses the 3D table into a 1D age curve and
-                // inverts it directly; the oracle path bisects the original
-                // trilinear surface. Both see the same (t, duty) cell.
+                // Line 15: candidate's next health over the horizon: the 3D
+                // table collapsed to a 1D age curve at (t, duty) and inverted
+                // directly.
                 let w = match prepaid {
                     Some((w, _)) => w,
                     None => {
                         advances += 1;
-                        let health_next = match table_path {
-                            TablePath::Oracle => {
-                                table.advance(Kelvin::new(t_cand), duty, health_now, ctx.horizon)
-                            }
-                            TablePath::Fast => table
-                                .age_curve(Kelvin::new(t_cand), duty, &mut scratch.age_curve)
-                                .advance(health_now, ctx.horizon),
-                        };
+                        let health_next = table
+                            .age_curve(Kelvin::new(t_cand), duty, &mut scratch.age_curve)
+                            .advance(health_now, ctx.horizon);
 
                         // Lines 17-23: the Eq. 9 weight.
                         self.weight(
@@ -1013,11 +1004,22 @@ impl HayatPolicy {
         ctx.recorder.counter("policy.hayat.dcm_swaps", dcm_swaps);
         ctx.recorder
             .counter("policy.hayat.assignments", mapping.active_cores() as u64);
-        ctx.recorder.counter(
-            "policy.table_lookups",
-            advances * table_path.lookups_per_advance(),
-        );
+        ctx.recorder.counter("policy.table_lookups", advances);
         mapping
+    }
+
+    /// [`map_threads_with`](Self::map_threads_with) on the context's shared
+    /// scratch, or on a local one when the caller provides none.
+    fn decide(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &WorkloadMix,
+        prune: bool,
+    ) -> ThreadMapping {
+        match ctx.scratch {
+            Some(cell) => self.map_threads_with(ctx, workload, prune, &mut cell.borrow_mut()),
+            None => self.map_threads_with(ctx, workload, prune, &mut PolicyScratch::new()),
+        }
     }
 }
 
@@ -1027,10 +1029,29 @@ impl Policy for HayatPolicy {
     }
 
     fn map_threads(&mut self, ctx: &PolicyContext<'_>, workload: &WorkloadMix) -> ThreadMapping {
-        match ctx.scratch {
-            Some(cell) => self.map_threads_with(ctx, workload, &mut cell.borrow_mut()),
-            None => self.map_threads_with(ctx, workload, &mut PolicyScratch::new()),
-        }
+        self.decide(ctx, workload, true)
+    }
+}
+
+/// The reference [`HayatPolicy`] is tested against: the same two-stage
+/// decision with the paper's coefficients, but without the tiled candidate
+/// index, so both stages score every candidate in full.
+///
+/// The tiled index only prunes candidates that provably cannot win, so
+/// this policy picks the same Dark Core Map and the same thread mapping,
+/// and each stage's `candidates_evaluated` here equals `evaluated +
+/// pruned` there. It reports the name `"Hayat"` and is reachable only by
+/// constructing it: no [`PolicyKind`](crate::PolicyKind) selects it.
+#[derive(Debug, Clone, Default)]
+pub struct UnprunedHayatPolicy(HayatPolicy);
+
+impl Policy for UnprunedHayatPolicy {
+    fn name(&self) -> &str {
+        "Hayat"
+    }
+
+    fn map_threads(&mut self, ctx: &PolicyContext<'_>, workload: &WorkloadMix) -> ThreadMapping {
+        self.0.decide(ctx, workload, false)
     }
 }
 
@@ -1203,10 +1224,9 @@ mod tests {
         let expected: u64 = (0..n_on).map(|k| n - k).sum();
         assert_eq!(expected, 904);
 
-        let exhaustive = system.clone().with_search_path(SearchPath::Exhaustive);
         let recorder = hayat_telemetry::MemoryRecorder::new();
-        let mut policy = HayatPolicy::default();
-        policy.map_threads(&ctx(&exhaustive).with_recorder(&recorder), &workload);
+        UnprunedHayatPolicy::default()
+            .map_threads(&ctx(&system).with_recorder(&recorder), &workload);
         let summary = recorder.summary();
         assert_eq!(
             summary.counter_total("policy.dcm.candidates_evaluated"),
@@ -1218,9 +1238,8 @@ mod tests {
         );
         assert_eq!(summary.counter_total("policy.dcm.tiles_scanned"), Some(0));
 
-        let tiled = system.with_search_path(SearchPath::Tiled);
         let recorder = hayat_telemetry::MemoryRecorder::new();
-        policy.map_threads(&ctx(&tiled).with_recorder(&recorder), &workload);
+        HayatPolicy::default().map_threads(&ctx(&system).with_recorder(&recorder), &workload);
         let summary = recorder.summary();
         let evaluated = summary
             .counter_total("policy.dcm.candidates_evaluated")
@@ -1246,13 +1265,12 @@ mod tests {
                 .health_mut()
                 .set(hayat_floorplan::CoreId::new(i), Health::new(h));
         }
-        let tiled = system.clone().with_search_path(SearchPath::Tiled);
-        let exhaustive = system.with_search_path(SearchPath::Exhaustive);
         let tiled_rec = hayat_telemetry::MemoryRecorder::new();
         let ex_rec = hayat_telemetry::MemoryRecorder::new();
-        let mut policy = HayatPolicy::default();
-        let m_tiled = policy.map_threads(&ctx(&tiled).with_recorder(&tiled_rec), &workload);
-        let m_ex = policy.map_threads(&ctx(&exhaustive).with_recorder(&ex_rec), &workload);
+        let m_tiled =
+            HayatPolicy::default().map_threads(&ctx(&system).with_recorder(&tiled_rec), &workload);
+        let m_ex = UnprunedHayatPolicy::default()
+            .map_threads(&ctx(&system).with_recorder(&ex_rec), &workload);
         assert_eq!(m_tiled, m_ex);
 
         let ts = tiled_rec.summary();
@@ -1273,41 +1291,6 @@ mod tests {
                 "{stage}: tiled candidate accounting must reconcile"
             );
         }
-    }
-
-    #[test]
-    fn fast_and_oracle_table_paths_produce_identical_mappings() {
-        let (mut system, workload) = setup(0.5, 24);
-        // Age the chip unevenly so the health term actually discriminates.
-        for i in 0..system.floorplan().core_count() {
-            let h = 0.90 + 0.002 * (i % 5) as f64;
-            system
-                .health_mut()
-                .set(hayat_floorplan::CoreId::new(i), Health::new(h));
-        }
-        let fast = system.clone().with_table_path(TablePath::Fast);
-        let oracle = system.with_table_path(TablePath::Oracle);
-        let fast_rec = hayat_telemetry::MemoryRecorder::new();
-        let oracle_rec = hayat_telemetry::MemoryRecorder::new();
-        let mut policy = HayatPolicy::default();
-        let m_fast = policy.map_threads(&ctx(&fast).with_recorder(&fast_rec), &workload);
-        let m_oracle = policy.map_threads(&ctx(&oracle).with_recorder(&oracle_rec), &workload);
-        assert_eq!(m_fast, m_oracle);
-        // Both paths evaluate the same advances; the oracle pays 67 table
-        // lookups per advance where the fast path pays one.
-        let fast_lookups = fast_rec
-            .summary()
-            .counter_total("policy.table_lookups")
-            .unwrap();
-        let oracle_lookups = oracle_rec
-            .summary()
-            .counter_total("policy.table_lookups")
-            .unwrap();
-        assert!(fast_lookups > 0);
-        assert_eq!(
-            oracle_lookups,
-            fast_lookups * TablePath::Oracle.lookups_per_advance()
-        );
     }
 
     #[test]

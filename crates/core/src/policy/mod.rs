@@ -59,7 +59,8 @@ pub struct PolicyScratch {
     pub seen: Vec<bool>,
     /// BFS frontier.
     pub queue: VecDeque<CoreId>,
-    /// Scratch for the collapsed 1D age curve of the fast table path.
+    /// Scratch for the collapsed 1D age curve of the candidate health
+    /// advance.
     pub age_curve: AgeCurveScratch,
     /// Tiled DCM search: per-core cached greedy score from the step it was
     /// last evaluated — scores are monotone non-increasing over the greedy,

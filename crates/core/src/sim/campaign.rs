@@ -5,14 +5,14 @@ use crate::policy::hayat::HayatPolicy;
 use crate::policy::simple::{CoolestFirstPolicy, RandomPolicy};
 use crate::policy::vaa::VaaPolicy;
 use crate::policy::Policy;
-use crate::sim::config::{Batch, Jobs, Pinning, SearchPath, SimulationConfig};
+use crate::sim::config::{Batch, Jobs, Pinning, SimulationConfig};
 use crate::sim::engine::SimulationEngine;
 use crate::sim::executor::{
     DynError, ExecutorError, ExecutorOptions, ProgressOptions, RunDescriptor, RunUpdate,
 };
 use crate::sim::fleet::FleetAccumulator;
 use crate::system::{BuildSystemError, ChipSystem};
-use hayat_aging::{AgingModel, AgingTable, TablePath};
+use hayat_aging::{AgingModel, AgingTable};
 use hayat_floorplan::Floorplan;
 use hayat_telemetry::{NullRecorder, Recorder};
 use hayat_thermal::{RcNetwork, ThermalPredictor};
@@ -89,8 +89,6 @@ pub struct Campaign {
     network: Arc<RcNetwork>,
     predictor: Arc<ThermalPredictor>,
     aging_table: Arc<AgingTable>,
-    table_path: TablePath,
-    search_path: SearchPath,
     batch: Batch,
     pinning: Pinning,
 }
@@ -118,8 +116,6 @@ impl Campaign {
             network,
             predictor,
             aging_table,
-            table_path: TablePath::default(),
-            search_path: SearchPath::default(),
             batch: Batch::serial(),
             pinning: Pinning::default(),
         })
@@ -131,42 +127,6 @@ impl Campaign {
         &self.config
     }
 
-    /// Which table-inversion path the policies' decisions use
-    /// ([`TablePath::Fast`] by default).
-    #[must_use]
-    pub const fn table_path(&self) -> TablePath {
-        self.table_path
-    }
-
-    /// Selects the decision-path table inversion for every system the
-    /// campaign builds. Like the worker count, this is an execution knob
-    /// (both paths produce identical mappings — a CI gate holds them to it),
-    /// so it lives outside [`SimulationConfig`] and never enters a
-    /// checkpoint's config hash.
-    #[must_use]
-    pub fn with_table_path(mut self, path: TablePath) -> Self {
-        self.table_path = path;
-        self
-    }
-
-    /// Which candidate-search path the policies' decisions use
-    /// ([`SearchPath::Tiled`] by default).
-    #[must_use]
-    pub const fn search_path(&self) -> SearchPath {
-        self.search_path
-    }
-
-    /// Selects the decision-path candidate search for every system the
-    /// campaign builds. Like `--table-path`, an execution knob (the tiled
-    /// index selects the exact cores the exhaustive scan would — a CI gate
-    /// holds them to it), so it lives outside [`SimulationConfig`] and never
-    /// enters a checkpoint's config hash.
-    #[must_use]
-    pub fn with_search_path(mut self, path: SearchPath) -> Self {
-        self.search_path = path;
-        self
-    }
-
     /// Chips per worker claim ([`Batch::serial`] — one chip — by default).
     #[must_use]
     pub const fn batch(&self) -> Batch {
@@ -175,11 +135,10 @@ impl Campaign {
 
     /// Selects the batched execution width: every worker claim pulls this
     /// many consecutive canonical-order chips and runs them in lockstep
-    /// through the structure-of-arrays epoch loop. Like `--jobs` and
-    /// `--table-path`, a pure execution knob — output is byte-identical to
-    /// `--batch 1` for any width (a CI cmp gate holds it to that), so it
-    /// lives outside [`SimulationConfig`] and never enters a checkpoint's
-    /// config hash.
+    /// through the structure-of-arrays epoch loop. Like `--jobs`, a pure
+    /// execution knob — output is byte-identical to `--batch 1` for any
+    /// width (a CI cmp gate holds it to that), so it lives outside
+    /// [`SimulationConfig`] and never enters a checkpoint's config hash.
     #[must_use]
     pub fn with_batch(mut self, batch: Batch) -> Self {
         self.batch = batch;
@@ -239,8 +198,6 @@ impl Campaign {
             Arc::clone(&self.predictor),
             Arc::clone(&self.aging_table),
         )
-        .with_table_path(self.table_path)
-        .with_search_path(self.search_path)
     }
 
     /// The campaign's run grid in canonical order (policy-major, then chip
@@ -629,30 +586,6 @@ mod tests {
         assert_eq!(s.counter_total("campaign.runs_completed"), Some(2));
         assert_eq!(s.span("campaign.chip").map(|sp| sp.count), Some(2));
         assert!(s.span("engine.epoch").map_or(0, |sp| sp.count) >= 2);
-    }
-
-    #[test]
-    fn oracle_table_path_reproduces_the_fast_campaign_exactly() {
-        // The fast age-curve inversion is an exact inverse of the surface the
-        // oracle bisects, so a full campaign must not change at all.
-        let fast =
-            tiny_campaign().run_with_jobs(&[PolicyKind::Vaa, PolicyKind::Hayat], Jobs::serial());
-        let oracle = tiny_campaign()
-            .with_table_path(TablePath::Oracle)
-            .run_with_jobs(&[PolicyKind::Vaa, PolicyKind::Hayat], Jobs::serial());
-        assert_eq!(fast, oracle);
-    }
-
-    #[test]
-    fn exhaustive_search_path_reproduces_the_tiled_campaign_exactly() {
-        // The tiled candidate index prunes work, never choices: a full
-        // campaign must not change at all when the oracle scan runs instead.
-        let tiled =
-            tiny_campaign().run_with_jobs(&[PolicyKind::Vaa, PolicyKind::Hayat], Jobs::serial());
-        let exhaustive = tiny_campaign()
-            .with_search_path(SearchPath::Exhaustive)
-            .run_with_jobs(&[PolicyKind::Vaa, PolicyKind::Hayat], Jobs::serial());
-        assert_eq!(tiled, exhaustive);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! repeated crash/resume cycles.
 
 use hayat::sim::campaign::PolicyKind;
-use hayat::{Batch, Campaign, Jobs, SearchPath, SimulationConfig, SimulationEngine};
+use hayat::{Batch, Campaign, Jobs, SimulationConfig, SimulationEngine};
 use hayat_checkpoint::{
     CampaignCheckpointExt, CheckpointError, Checkpointer, FailMode, FailPoint, FAILPOINT_CHIP,
     FAILPOINT_EPOCH,
@@ -279,8 +279,9 @@ fn completed_checkpoint_resumes_instantly_without_rerunning() {
 /// oracle. The checkpoint holds a half-finished decade campaign (both VAA
 /// runs durable, Hayat chip 0 in flight); the reference is the full
 /// uninterrupted campaign's `--json` export at `--jobs 1`. Resuming that
-/// checkpoint with today's default fast path must complete the campaign
-/// and reproduce the pre-refactor export byte for byte.
+/// checkpoint with today's decision path (the age-curve inversion and the
+/// tiled candidate index) must complete the campaign and reproduce the
+/// pre-refactor export byte for byte.
 #[test]
 fn pre_refactor_fixture_resumes_byte_identical_on_the_fast_path() {
     // The exact flags the fixture was generated with:
@@ -293,35 +294,23 @@ fn pre_refactor_fixture_resumes_byte_identical_on_the_fast_path() {
     config.mesh = (4, 4);
     let reference = include_str!("fixtures/pre_pr5_reference.json");
 
-    // Resume under both search paths: the tiled candidate index (today's
-    // default) and the exhaustive scan the fixture era actually ran. The
-    // search path is a runtime knob outside the checkpoint hash, so both
-    // must complete the half-finished campaign and reproduce the
-    // oracle-era export byte for byte.
-    for (name, path_kind) in [
-        ("tiled", SearchPath::Tiled),
-        ("exhaustive", SearchPath::Exhaustive),
-    ] {
-        let path = scratch(&format!("pre_pr5_fixture_{name}"));
-        // Resume rewrites the checkpoint in place, so work on a copy.
-        std::fs::write(&path, include_bytes!("fixtures/pre_pr5.ckpt")).unwrap();
-        let campaign = Campaign::new(config.clone())
-            .unwrap()
-            .with_search_path(path_kind);
+    let path = scratch("pre_pr5_fixture");
+    // Resume rewrites the checkpoint in place, so work on a copy.
+    std::fs::write(&path, include_bytes!("fixtures/pre_pr5.ckpt")).unwrap();
+    let campaign = Campaign::new(config).unwrap();
 
-        let result = Checkpointer::new(&path)
-            .jobs(Jobs::serial())
-            .resume(&campaign)
-            .expect("the committed fixture must stay resumable");
+    let result = Checkpointer::new(&path)
+        .jobs(Jobs::serial())
+        .resume(&campaign)
+        .expect("the committed fixture must stay resumable");
 
-        let json = serde_json::to_string_pretty(&result).unwrap();
-        assert_eq!(
-            json.trim_end(),
-            reference.trim_end(),
-            "the {name} decision path changed the campaign the oracle-era code produced"
-        );
-        std::fs::remove_file(&path).ok();
-    }
+    let json = serde_json::to_string_pretty(&result).unwrap();
+    assert_eq!(
+        json.trim_end(),
+        reference.trim_end(),
+        "the decision path changed the campaign the oracle-era code produced"
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 /// The engine-level property behind all of the above: snapshotting at an

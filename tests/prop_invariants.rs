@@ -3,8 +3,8 @@
 //! thermal sanity under arbitrary (bounded) inputs.
 
 use hayat::{
-    ChipSystem, DarkCoreMap, HayatPolicy, SearchPath, SimulationConfig, SimulationEngine,
-    ThreadMapping,
+    ChipSystem, DarkCoreMap, HayatPolicy, Policy, SimulationConfig, SimulationEngine,
+    ThreadMapping, UnprunedHayatPolicy,
 };
 use hayat_aging::{AgingModel, AgingTable, Health, TableAxes};
 use hayat_floorplan::{CoreId, Floorplan, FloorplanBuilder};
@@ -208,36 +208,39 @@ proptest! {
 }
 
 // The tiled-search contract: the tiled candidate index is a pure pruning
-// overlay over the exhaustive mapping scan, so two engines differing only
-// in search path must produce bit-identical runs — every decision, every
-// temperature, every health trajectory — across random meshes, chips,
-// dark fractions, and workload seeds. Few cases: each one simulates two
-// full multi-epoch runs.
+// overlay over the exhaustive mapping scan, so an engine running
+// `HayatPolicy` and one running the `UnprunedHayatPolicy` reference must
+// produce bit-identical runs — every decision, every temperature, every
+// health trajectory — across random meshes, chips, dark fractions, and
+// workload seeds. Few cases: each one simulates two full multi-epoch runs.
+// The generator is seeded by the test's name; its first five cases draw
+// every mesh at least once (16×16 once, 4×4 once).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(5))]
 
     #[test]
     fn tiled_and_exhaustive_search_paths_run_identically(
-        wide in 0usize..2,
+        mesh in 0usize..3,
         chip in 0usize..32,
         dark in 0.25f64..0.75,
         seed in 0u64..1_000,
     ) {
         let mut config = SimulationConfig::quick_demo();
-        config.mesh = if wide == 1 { (16, 16) } else { (8, 8) };
+        config.mesh = [(4, 4), (8, 8), (16, 16)][mesh];
         config.transient_window_seconds = 0.1;
         config.dark_fraction = dark;
         config.workload_seed = seed;
         // quick_demo's population is 2 chips; widen it so every sampled
         // chip index picks a distinct variation map.
         config.chip_count = 32;
-        let run = |path| {
-            let system = ChipSystem::paper_chip(chip, &config)
-                .expect("chip builds")
-                .with_search_path(path);
-            SimulationEngine::new(system, Box::new(HayatPolicy::default()), &config).run()
+        let run = |policy: Box<dyn Policy>| {
+            let system = ChipSystem::paper_chip(chip, &config).expect("chip builds");
+            SimulationEngine::new(system, policy, &config).run()
         };
-        prop_assert_eq!(run(SearchPath::Tiled), run(SearchPath::Exhaustive));
+        prop_assert_eq!(
+            run(Box::<HayatPolicy>::default()),
+            run(Box::<UnprunedHayatPolicy>::default())
+        );
     }
 }
 
