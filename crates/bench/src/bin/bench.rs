@@ -18,10 +18,11 @@
 //! longer in the run gate) and recording per-worker busy-time
 //! utilization, plus a
 //! **large floorplan** section sweeping the mesh through 8×8 / 16×16 /
-//! 32×32 (and 64×64 under `--full`) and racing `HayatPolicy`'s tiled
-//! candidate index against the `UnprunedHayatPolicy` reference scan on one
-//! aged-chip decision per size, with a hard tiled-at-least-5x gate at
-//! 32×32 and the per-chip epoch wall time recorded alongside.
+//! 32×32 (and 64×64 under `--full`) and racing `HayatPolicy`'s pruned
+//! mapping search (reported under the historical `tiled_*` field names)
+//! against the `UnprunedHayatPolicy` reference scan on one aged-chip
+//! decision per size, with a hard pruned-at-least-5x gate at 32×32 and the
+//! per-chip epoch wall time recorded alongside.
 //!
 //! Two thermal configurations are measured:
 //!
@@ -308,13 +309,14 @@ struct FloorplanPoint {
     cores: usize,
     threads: usize,
     /// One `map_threads` call (warm scratch, recycled mapping) on the aged
-    /// chip: `HayatPolicy`'s tiled index and the `UnprunedHayatPolicy` scan.
+    /// chip: `HayatPolicy`'s pruned search and the `UnprunedHayatPolicy`
+    /// scan.
     tiled_decision_seconds: f64,
     exhaustive_decision_seconds: f64,
-    /// `exhaustive / tiled`.
+    /// `exhaustive / tiled` (tiled: the pruned `HayatPolicy`).
     decision_speedup: f64,
     /// One full epoch (decision + transient window + health upscale) under
-    /// the tiled index — the per-chip epoch throughput unit at this size.
+    /// `HayatPolicy` — the per-chip epoch throughput unit at this size.
     tiled_epoch_seconds: f64,
 }
 
@@ -326,10 +328,11 @@ struct SkippedFloorplan {
 }
 
 /// Decision latency and per-chip epoch wall time as the mesh grows —
-/// the sub-quadratic tiled candidate index against the exhaustive scan of
-/// the `UnprunedHayatPolicy` reference. Both pick bit-identical mappings
-/// (the policy's unit test and proptest hold them to it), so the race is
-/// purely about how many candidates each one touches.
+/// `HayatPolicy`'s stage-2 pruning against the exhaustive scan of the
+/// `UnprunedHayatPolicy` reference (both share the dense stage-1 scan).
+/// Both pick bit-identical mappings (the policy's unit test and proptest
+/// hold them to it), so the race is purely about how many candidates each
+/// one touches.
 #[derive(Serialize)]
 struct LargeFloorplan {
     setup: String,
@@ -338,9 +341,9 @@ struct LargeFloorplan {
     /// Sizes not measured in this mode (64×64 chip construction factors a
     /// 4096-core variation covariance, so it only runs under `--full`).
     skipped: Vec<SkippedFloorplan>,
-    /// Tiled-vs-exhaustive decision speedup at 32×32.
+    /// Pruned-vs-exhaustive decision speedup at 32×32.
     speedup_at_32x32: f64,
-    /// Hard perf gate: tiled must be at least 5x exhaustive at 32×32.
+    /// Hard perf gate: pruned must be at least 5x exhaustive at 32×32.
     tiled_gate_ok: bool,
 }
 
@@ -1259,9 +1262,9 @@ fn decision_path(fast_mode: bool) -> DecisionPath {
 }
 
 /// Sweeps the mesh through 8×8 / 16×16 / 32×32 (and 64×64 under `--full`),
-/// racing `HayatPolicy`'s tiled candidate index against the
-/// `UnprunedHayatPolicy` scan on one aged-chip decision per size and gating
-/// tiled at 5x at 32×32.
+/// racing `HayatPolicy`'s pruned search against the `UnprunedHayatPolicy`
+/// scan on one aged-chip decision per size and gating the pruned one at 5x
+/// at 32×32.
 fn large_floorplan(full: bool) -> LargeFloorplan {
     let aged_epochs = 8;
     let mut points = Vec::new();

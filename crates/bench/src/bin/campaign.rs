@@ -509,11 +509,9 @@ fn finish_telemetry(recorder: Option<Arc<JsonlRecorder>>, args: &Args) {
     if let Some(lookups) = summary.counter_total("policy.table_lookups") {
         println!("policy.table_lookups: {lookups}");
     }
-    // Candidate-search accounting: how much work the tiled index skipped.
+    // Candidate-search accounting: how much work stage 2's pruning skipped.
     for counter in [
         "policy.dcm.candidates_evaluated",
-        "policy.dcm.candidates_pruned",
-        "policy.dcm.tiles_scanned",
         "policy.hayat.candidates_pruned",
     ] {
         if let Some(total) = summary.counter_total(counter) {

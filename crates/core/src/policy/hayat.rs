@@ -2,7 +2,7 @@
 
 use crate::mapping::ThreadMapping;
 use crate::policy::{Policy, PolicyContext, PolicyScratch};
-use hayat_floorplan::{CoreId, TileOverlay};
+use hayat_floorplan::CoreId;
 use hayat_telemetry::RecorderExt;
 use hayat_units::{Gigahertz, Kelvin, Watts};
 use hayat_workload::WorkloadMix;
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// inside that and far above f64 noise on a ~GHz quantity.
 const MIN_SLACK_GHZ: f64 = 1e-6;
 
-/// Cap on how many of the hottest rise lanes the tiled mapping search folds
+/// Cap on how many of the hottest rise lanes stage 2's candidate pruning folds
 /// into its O(1) peak lower bound (the per-decision count scales as
 /// `cores/16`, clamped to `[4, HOT_LANES]`). Measured at 32×32: the exact
 /// peak of an infeasible candidate sits on one of the top 32 lanes ~96% of
@@ -217,17 +217,96 @@ impl HayatPolicy {
     /// excess penalty keeps the chip's fastest cores dark (preserved), and
     /// the temperature term spreads the on-set across the die.
     ///
+    /// Only the superposed rise changes between steps, so everything else
+    /// is computed once per decision, each term rounded exactly as the
+    /// in-line expression rounds it:
+    ///
+    /// ```text
+    /// base  = min(f, cap) − EXCESS_PENALTY·max(0, f − preserve_threshold)
+    /// self  = power·R[c][c]            power = mean_dynamic + leakage
+    /// leak  = MU·(power − mean_dynamic)
+    /// score = (base − LAMBDA·((ambient + rise) + self)) − leak
+    /// ```
+    ///
+    /// No floating-point operation is reordered (and Rust never contracts
+    /// to FMA), so the scores are bit-identical to the in-line expression
+    /// for any coefficient signs. A step is then one dense pass over
+    /// contiguous arrays, keeping the first strictly greater score.
+    ///
     /// Fills `scratch.on`; expects `scratch.aged_fmax` to hold the caller's
-    /// per-decision frequency snapshot. `prune` selects the tiled
-    /// branch-and-bound over the exhaustive scan; both pick the same cores.
+    /// per-decision frequency snapshot.
     fn select_dcm(
         &self,
         ctx: &PolicyContext<'_>,
         workload: &WorkloadMix,
         n_on: usize,
-        prune: bool,
         scratch: &mut PolicyScratch,
     ) {
+        let (cap, mean_dynamic, preserve_threshold) = self.dcm_inputs(ctx, workload, scratch);
+        let cfg = &self.config;
+        let system = ctx.system;
+        let n = system.floorplan().core_count();
+        let predictor = system.predictor();
+        let ambient = system.thermal_config().ambient.value();
+        let lambda = cfg.lambda_ghz_per_kelvin;
+        scratch.dcm_base.clear();
+        scratch.dcm_self_rise.clear();
+        scratch.dcm_leak_penalty.clear();
+        for ci in 0..n {
+            let f = scratch.aged_fmax[ci];
+            let power = mean_dynamic + scratch.dcm_leakage[ci];
+            scratch
+                .dcm_base
+                .push(f.min(cap) - cfg.excess_penalty * (f - preserve_threshold).max(0.0));
+            scratch
+                .dcm_self_rise
+                .push(power * predictor.rise_row(CoreId::new(ci))[ci]);
+            scratch
+                .dcm_leak_penalty
+                .push(cfg.mu_ghz_per_watt * (power - mean_dynamic));
+        }
+
+        let mut candidates_evaluated: u64 = 0;
+        for step in 0..n_on.min(n) {
+            candidates_evaluated += (n - step) as u64;
+            let on = &scratch.on[..n];
+            let base = &scratch.dcm_base[..n];
+            let rise = &scratch.dcm_rise[..n];
+            let self_rise = &scratch.dcm_self_rise[..n];
+            let leak = &scratch.dcm_leak_penalty[..n];
+            let mut best: Option<(f64, usize)> = None;
+            for ci in 0..n {
+                if on[ci] {
+                    continue;
+                }
+                let score = dcm_score(base[ci], lambda, ambient, rise[ci], self_rise[ci], leak[ci]);
+                if best.is_none_or(|(s, _)| score > s) {
+                    best = Some((score, ci));
+                }
+            }
+            let (_, winner) = best.expect("n_on is at most the core count");
+            scratch.on[winner] = true;
+            let p = mean_dynamic + scratch.dcm_leakage[winner];
+            hayat_linalg::axpy_in_place(
+                &mut scratch.dcm_rise,
+                p,
+                predictor.rise_row(CoreId::new(winner)),
+            );
+        }
+        ctx.recorder
+            .counter("policy.dcm.candidates_evaluated", candidates_evaluated);
+    }
+
+    /// Stage 1's per-decision inputs: returns the feasibility cap, the
+    /// workload's mean dynamic power and the preserve threshold, fills the
+    /// `scratch.dcm_leakage` snapshot, and clears `scratch.on` and
+    /// `scratch.dcm_rise` for the greedy.
+    fn dcm_inputs(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &WorkloadMix,
+        scratch: &mut PolicyScratch,
+    ) -> (f64, f64, f64) {
         let cfg = &self.config;
         let system = ctx.system;
         let fp = system.floorplan();
@@ -245,8 +324,8 @@ impl HayatPolicy {
         // multiples of the nominal 1.18 W, which is exactly why a
         // variation-blind DCM runs hot. Leakage is evaluated at a typical
         // operating temperature (~ambient + 15 K), *once per decision* —
-        // the greedy loop below reads the snapshot instead of re-running
-        // the leakage model twice per candidate per step.
+        // the greedy loop reads the snapshot instead of re-running the
+        // leakage model twice per candidate per step.
         let model = system.power_model();
         let typical_t = system.thermal_config().ambient + 15.0;
         scratch.dcm_leakage.clear();
@@ -274,287 +353,40 @@ impl HayatPolicy {
         scratch.on.resize(n, false);
         scratch.dcm_rise.clear();
         scratch.dcm_rise.resize(n, 0.0);
-        // The tiled branch-and-bound relies on the score being monotone
-        // non-increasing in the superposed rise — true only for λ ≥ 0, so a
-        // (non-paper) negative coefficient falls back to the exhaustive scan.
-        let tiled = prune && cfg.lambda_ghz_per_kelvin >= 0.0;
-        let (candidates_evaluated, candidates_pruned, tiles_scanned) = if tiled {
-            self.select_dcm_tiled(ctx, n_on, cap, mean_dynamic, preserve_threshold, scratch)
-        } else {
-            (
-                self.select_dcm_exhaustive(
-                    ctx,
-                    n_on,
-                    cap,
-                    mean_dynamic,
-                    preserve_threshold,
-                    scratch,
-                ),
-                0,
-                0,
-            )
-        };
-        ctx.recorder
-            .counter("policy.dcm.candidates_evaluated", candidates_evaluated);
-        ctx.recorder
-            .counter("policy.dcm.candidates_pruned", candidates_pruned);
-        ctx.recorder
-            .counter("policy.dcm.tiles_scanned", tiles_scanned);
+        (cap, mean_dynamic, preserve_threshold)
     }
+}
 
-    /// The exhaustive DCM scan: every greedy step scores every still-free
-    /// core.
-    /// Returns the candidate-evaluation count.
-    fn select_dcm_exhaustive(
-        &self,
-        ctx: &PolicyContext<'_>,
-        n_on: usize,
-        cap: f64,
-        mean_dynamic: f64,
-        preserve_threshold: f64,
-        scratch: &mut PolicyScratch,
-    ) -> u64 {
-        let cfg = &self.config;
-        let system = ctx.system;
-        let fp = system.floorplan();
-        let n = fp.core_count();
-        let predictor = system.predictor();
-        let mut candidates_evaluated: u64 = 0;
-        for _ in 0..n_on.min(n) {
-            let mut best: Option<(f64, CoreId)> = None;
-            for cand in fp.cores() {
-                if scratch.on[cand.index()] {
-                    continue;
-                }
-                candidates_evaluated += 1;
-                let f = scratch.aged_fmax[cand.index()];
-                // Same arithmetic as the pre-snapshot code (power is the
-                // dynamic+leakage sum, leak the difference back) so scores
-                // stay bit-identical.
-                let power = mean_dynamic + scratch.dcm_leakage[cand.index()];
-                let t_cand = system.thermal_config().ambient.value()
-                    + scratch.dcm_rise[cand.index()]
-                    + power * predictor.rise_row(cand)[cand.index()];
-                let leak = power - mean_dynamic;
-                let score = f.min(cap)
-                    - cfg.excess_penalty * (f - preserve_threshold).max(0.0)
-                    - cfg.lambda_ghz_per_kelvin * t_cand
-                    - cfg.mu_ghz_per_watt * leak;
-                if best.is_none_or(|(s, _)| score > s) {
-                    best = Some((score, cand));
-                }
-            }
-            let (_, core) = best.expect("n_on is at most the core count");
-            scratch.on[core.index()] = true;
-            let p = mean_dynamic + scratch.dcm_leakage[core.index()];
-            hayat_linalg::axpy_in_place(&mut scratch.dcm_rise, p, predictor.rise_row(core));
-        }
-        candidates_evaluated
-    }
+/// A free core's stage-1 score from its per-decision terms, in the
+/// in-line expression's operation order:
+/// `(base − λ·((ambient + rise) + self_rise)) − leak`.
+fn dcm_score(base: f64, lambda: f64, ambient: f64, rise: f64, self_rise: f64, leak: f64) -> f64 {
+    base - lambda * (ambient + rise + self_rise) - leak
+}
 
-    /// The tiled lazy-refresh DCM scan. Selects the **identical** DCM as
-    /// [`select_dcm_exhaustive`](Self::select_dcm_exhaustive) while scoring
-    /// only the candidates that could still win:
-    ///
-    /// * Each core carries a cached score from the step it was last
-    ///   evaluated (step 0 seeds the cache with a full sweep — the same
-    ///   work the oracle's first step does). Only the superposed rise
-    ///   changes between steps, it only grows (`λ ≥ 0`, footprint rows
-    ///   ≥ 0), and IEEE round-to-nearest addition and multiplication are
-    ///   monotone — so a stale cache entry is a true upper bound on the
-    ///   core's current exact score.
-    /// * Cores are grouped per tile, each segment kept sorted by (cached
-    ///   score descending, index ascending). A greedy step runs a
-    ///   tournament over the tile heads: while the winning head is stale,
-    ///   re-score it with the exact current-step expression and sift it
-    ///   down its segment; once the winning head is fresh it *is* the
-    ///   exact argmax — every other candidate sits under a bound that is
-    ///   at most the winner's exact score, with the tournament's
-    ///   lowest-index tie order matching the oracle's.
-    /// * The winner is the maximum exact score, lowest core index among
-    ///   exact floating-point ties — precisely what the oracle's
-    ///   first-strictly-greater update converges to.
-    ///
-    /// Unlike a static rise-free bound (which goes uselessly loose once
-    /// hundreds of selections have stacked rise under every candidate —
-    /// exactly the 32×32 regime), the cache re-tightens on every refresh,
-    /// so evaluations per step stay near-constant at any floorplan size.
-    ///
-    /// Returns `(evaluated, pruned, tiles_scanned)`; by construction
-    /// `evaluated + pruned` equals the oracle's evaluation count.
-    fn select_dcm_tiled(
-        &self,
-        ctx: &PolicyContext<'_>,
-        n_on: usize,
-        cap: f64,
-        mean_dynamic: f64,
-        preserve_threshold: f64,
-        scratch: &mut PolicyScratch,
-    ) -> (u64, u64, u64) {
-        let cfg = &self.config;
-        let system = ctx.system;
-        let fp = system.floorplan();
-        let n = fp.core_count();
-        let predictor = system.predictor();
-        let ambient = system.thermal_config().ambient.value();
-        let tiles = TileOverlay::for_floorplan(fp);
-        let t_count = tiles.tile_count();
-
-        // Seed the cache with the exact step-0 scores (dcm_rise was just
-        // reset, so reading it keeps the expression literally the one the
-        // refresh below uses). This sweep is the oracle's first full step,
-        // so it is charged to `evaluated` as n candidate evaluations.
-        scratch.dcm_score0.clear();
-        scratch.dcm_score0.extend(fp.cores().map(|cand| {
-            let f = scratch.aged_fmax[cand.index()];
-            let power = mean_dynamic + scratch.dcm_leakage[cand.index()];
-            let t_cand = ambient
-                + scratch.dcm_rise[cand.index()]
-                + power * predictor.rise_row(cand)[cand.index()];
-            let leak = power - mean_dynamic;
-            f.min(cap)
-                - cfg.excess_penalty * (f - preserve_threshold).max(0.0)
-                - cfg.lambda_ghz_per_kelvin * t_cand
-                - cfg.mu_ghz_per_watt * leak
-        }));
-        scratch.dcm_stamp.clear();
-        scratch.dcm_stamp.resize(n, 0);
-
-        // Group cores by tile (counting sort into segment offsets), then
-        // sort each tile's segment by (cached score descending, index
-        // ascending).
-        scratch.tile_start.clear();
-        scratch.tile_start.resize(t_count + 1, 0);
-        for cand in fp.cores() {
-            scratch.tile_start[tiles.tile_of(cand) + 1] += 1;
-        }
-        for t in 0..t_count {
-            scratch.tile_start[t + 1] += scratch.tile_start[t];
-        }
-        scratch.tile_cursor.clear();
-        scratch
-            .tile_cursor
-            .extend_from_slice(&scratch.tile_start[..t_count]);
-        scratch.tile_members.clear();
-        scratch.tile_members.resize(n, 0);
-        for cand in fp.cores() {
-            let t = tiles.tile_of(cand);
-            scratch.tile_members[scratch.tile_cursor[t] as usize] = cand.index() as u32;
-            scratch.tile_cursor[t] += 1;
-        }
-        {
-            let score0 = &scratch.dcm_score0;
-            for t in 0..t_count {
-                let seg = &mut scratch.tile_members
-                    [scratch.tile_start[t] as usize..scratch.tile_start[t + 1] as usize];
-                seg.sort_unstable_by(|&a, &b| {
-                    score0[b as usize]
-                        .total_cmp(&score0[a as usize])
-                        .then(a.cmp(&b))
-                });
-            }
-        }
-        scratch.tile_cursor.clear();
-        scratch
-            .tile_cursor
-            .extend_from_slice(&scratch.tile_start[..t_count]);
-        scratch.tile_stamp.clear();
-        scratch.tile_stamp.resize(t_count, u32::MAX);
-
-        let mut evaluated: u64 = 0;
-        let mut pruned: u64 = 0;
-        let mut tiles_scanned: u64 = 0;
-        let mut on_count = 0usize;
-        for step in 0..n_on.min(n) as u32 {
-            let free = (n - on_count) as u64;
-            let before = evaluated;
-            if step == 0 {
-                // The cache-seeding sweep above was this step's full scan.
-                evaluated += n as u64;
-            }
-            let (winner_ci, winner_t);
-            loop {
-                // Tournament over the tile heads: max cached score, lowest
-                // core index among exact fp ties — the same tie order the
-                // oracle's strict-`>` sequential update converges to, so a
-                // stale head that ties a fresh one at a lower index is
-                // refreshed before the fresh one can win.
-                let mut top: Option<(f64, u32, usize)> = None;
-                for t in 0..t_count {
-                    let cur = scratch.tile_cursor[t] as usize;
-                    if cur >= scratch.tile_start[t + 1] as usize {
-                        continue; // tile fully selected
-                    }
-                    let ci = scratch.tile_members[cur];
-                    let key = scratch.dcm_score0[ci as usize];
-                    let beats = match top {
-                        None => true,
-                        Some((bk, bi, _)) => key > bk || (key == bk && ci < bi),
-                    };
-                    if beats {
-                        top = Some((key, ci, t));
-                    }
-                }
-                let (_, ci, t) = top.expect("n_on is at most the core count");
-                if scratch.dcm_stamp[ci as usize] == step {
-                    // Fresh head on top: its cached value is this step's
-                    // exact score and every other candidate is bounded by
-                    // it, so it is the oracle's winner.
-                    winner_ci = ci as usize;
-                    winner_t = t;
-                    break;
-                }
-                // Stale head: refresh with the exact current-step score.
-                if scratch.tile_stamp[t] != step {
-                    scratch.tile_stamp[t] = step;
-                    tiles_scanned += 1;
-                }
-                evaluated += 1;
-                let ci = ci as usize;
-                let cand = CoreId::new(ci);
-                let f = scratch.aged_fmax[ci];
-                let power = mean_dynamic + scratch.dcm_leakage[ci];
-                let t_cand = ambient + scratch.dcm_rise[ci] + power * predictor.rise_row(cand)[ci];
-                let leak = power - mean_dynamic;
-                let score = f.min(cap)
-                    - cfg.excess_penalty * (f - preserve_threshold).max(0.0)
-                    - cfg.lambda_ghz_per_kelvin * t_cand
-                    - cfg.mu_ghz_per_watt * leak;
-                debug_assert!(
-                    score <= scratch.dcm_score0[ci],
-                    "the cached score must bound the exact score (core {ci})"
-                );
-                scratch.dcm_score0[ci] = score;
-                scratch.dcm_stamp[ci] = step;
-                // The head's key just dropped: sift it down its (score
-                // descending, index ascending)-sorted segment.
-                let end = scratch.tile_start[t + 1] as usize;
-                let mut i = scratch.tile_cursor[t] as usize;
-                while i + 1 < end {
-                    let a = scratch.tile_members[i];
-                    let b = scratch.tile_members[i + 1];
-                    let sa = scratch.dcm_score0[a as usize];
-                    let sb = scratch.dcm_score0[b as usize];
-                    if sa > sb || (sa == sb && a < b) {
-                        break;
-                    }
-                    scratch.tile_members.swap(i, i + 1);
-                    i += 1;
-                }
-            }
-            scratch.on[winner_ci] = true;
-            scratch.tile_cursor[winner_t] += 1;
-            on_count += 1;
-            pruned += free - (evaluated - before);
-            let p = mean_dynamic + scratch.dcm_leakage[winner_ci];
-            hayat_linalg::axpy_in_place(
-                &mut scratch.dcm_rise,
-                p,
-                predictor.rise_row(CoreId::new(winner_ci)),
-            );
-        }
-        (evaluated, pruned, tiles_scanned)
-    }
+/// Rebuilds `lanes` as the `lanes.len()` hottest lanes of `rise`, ordered by
+/// rise descending and index ascending — exactly the list an insertion pass
+/// over every lane keeps.
+///
+/// `lanes` must hold distinct lanes on entry (any ones): their coolest
+/// current rise bounds the k-th largest rise from below, so only the lanes
+/// at or above it can qualify, and only those are sorted. `lanes` needs
+/// capacity for `rise.len()` entries to rebuild without allocating.
+fn rebuild_hot_lanes(rise: &[f64], lanes: &mut Vec<u32>) {
+    let k = lanes.len();
+    let floor = lanes
+        .iter()
+        .map(|&i| rise[i as usize])
+        .fold(f64::INFINITY, f64::min);
+    lanes.clear();
+    lanes.extend((0..rise.len() as u32).filter(|&i| rise[i as usize] >= floor));
+    lanes.sort_unstable_by(|&a, &b| {
+        rise[b as usize]
+            .partial_cmp(&rise[a as usize])
+            .expect("rises are finite")
+            .then(a.cmp(&b))
+    });
+    lanes.truncate(k);
 }
 
 impl HayatPolicy {
@@ -563,9 +395,10 @@ impl HayatPolicy {
     /// All per-decision state (frequency and leakage snapshots, the sorted
     /// thread list, the DCM, the superposed rise vector, the recycled
     /// mapping) lives in `scratch`, so a warm scratch makes the whole
-    /// decision allocation-free. `prune` selects the tiled candidate index
-    /// in both stages; without it every candidate is scored in full (the
-    /// reference [`UnprunedHayatPolicy`] runs).
+    /// decision allocation-free. `prune` turns on stage 2's candidate
+    /// pruning; without it stage 2 scores every candidate in full (the
+    /// reference [`UnprunedHayatPolicy`] runs). Stage 1 is the same either
+    /// way.
     fn map_threads_with(
         &self,
         ctx: &PolicyContext<'_>,
@@ -618,13 +451,13 @@ impl HayatPolicy {
         // Stage 1: the Dark Core Map — exactly one on-core per thread, never
         // more than the budget admits.
         let n_on = workload.total_threads().min(system.budget().max_on());
-        self.select_dcm(ctx, workload, n_on, prune, scratch);
+        self.select_dcm(ctx, workload, n_on, scratch);
 
         let mut mapping = scratch.take_mapping(n);
         // Incrementally maintained temperature rise above ambient from all
         // threads mapped so far, plus the indices of its hottest lanes: any
         // exactly-reproduced lane of the fused scan is an exact lower bound
-        // on the scan's peak, which is what lets the tiled path discard
+        // on the scan's peak, which is what lets the pruned path discard
         // certainly-infeasible candidates without the O(cores) scan.
         scratch.rise.clear();
         scratch.rise.resize(n, 0.0);
@@ -634,11 +467,13 @@ impl HayatPolicy {
         // tries to avoid.
         let hot_k = (n / 16).clamp(4, HOT_LANES).min(n);
         scratch.hot_lanes.clear();
+        // A rebuild may collect every lane before it truncates to `hot_k`.
+        scratch.hot_lanes.reserve(n);
         scratch.hot_lanes.extend(0..hot_k as u32);
         // Ascending list of the DCM's on-cores. The pruned and the unpruned
         // search *both* walk this exact sequence (it is the same set, in the
         // same order, as the old `fp.cores()` scan filtered on
-        // `scratch.on`), so the tiled path's `evaluated + pruned` equals the
+        // `scratch.on`), so the pruned path's `evaluated + pruned` equals the
         // exhaustive path's evaluation count by construction.
         scratch.on_list.clear();
         for ci in 0..n {
@@ -650,7 +485,7 @@ impl HayatPolicy {
         // never lets health grow, so `health_next / health_now ≤ 1`). A
         // (non-paper) negative β flips that bound, so it falls back to the
         // exhaustive scan.
-        let stage2_tiled = prune && beta >= 0.0;
+        let stage2_pruned = prune && beta >= 0.0;
         let mut candidates_evaluated: u64 = 0;
         let mut candidates_pruned: u64 = 0;
         let mut dcm_swaps: u64 = 0;
@@ -669,7 +504,7 @@ impl HayatPolicy {
             // order), kept in case *every* candidate violates T_safe (the
             // thread must still run; DTM will police the chip at run time,
             // exactly the "DTM triggers even in case of a naive
-            // optimization" situation the paper accounts for). The tiled
+            // optimization" situation the paper accounts for). The pruned
             // path defers certainly-infeasible candidates into
             // `fallback_pool` instead of scanning them eagerly.
             let mut fallback: Option<(f64, usize, CoreId, Watts)> = None;
@@ -683,7 +518,7 @@ impl HayatPolicy {
                 let power = dynamic + Watts::new(scratch.ref_leakage[ci]);
                 let health_now = system.health().core(cand).value();
 
-                // Tiled pruning, active only once a best exists (while it
+                // Pruning, active only once a best exists (while it
                 // does not, every candidate must still feed the fallback
                 // below, so the full oracle body runs). Two levels, both with
                 // a doubled 2e-12 margin: the oracle's tie test compares the
@@ -691,7 +526,7 @@ impl HayatPolicy {
                 // candidate must only be dropped when it clears the tie
                 // window even after that rounding.
                 let mut prepaid: Option<(f64, f64)> = None;
-                if stage2_tiled {
+                if stage2_pruned {
                     if let Some((bw, bt_max, _, _, _)) = &best {
                         // Level 1, O(1): the Eq. 9 weight can never exceed
                         // the frequency-matching term plus β.
@@ -966,33 +801,11 @@ impl HayatPolicy {
                     power.value(),
                     predictor.rise_row(core),
                 );
-                // Re-track the hottest lanes: one O(cores) insertion pass
+                // Re-track the hottest lanes: one O(cores) threshold pass
                 // per assignment, against the O(cores) scans per *candidate*
                 // their bound saves. Any lane set is valid; the hottest keep
                 // the bound tight.
-                scratch.hot_lanes.clear();
-                for i in 0..n {
-                    let r = scratch.rise[i];
-                    if scratch.hot_lanes.len() == hot_k {
-                        let tail = *scratch.hot_lanes.last().expect("non-empty") as usize;
-                        if r <= scratch.rise[tail] {
-                            continue;
-                        }
-                        *scratch.hot_lanes.last_mut().expect("non-empty") = i as u32;
-                    } else {
-                        scratch.hot_lanes.push(i as u32);
-                    }
-                    let mut k = scratch.hot_lanes.len() - 1;
-                    while k > 0 {
-                        let a = scratch.hot_lanes[k] as usize;
-                        let b = scratch.hot_lanes[k - 1] as usize;
-                        if scratch.rise[a] <= scratch.rise[b] {
-                            break;
-                        }
-                        scratch.hot_lanes.swap(k, k - 1);
-                        k -= 1;
-                    }
-                }
+                rebuild_hot_lanes(&scratch.rise, &mut scratch.hot_lanes);
             }
             // Threads with no frequency-feasible candidate stay unplaced;
             // the engine reports them.
@@ -1034,14 +847,15 @@ impl Policy for HayatPolicy {
 }
 
 /// The reference [`HayatPolicy`] is tested against: the same two-stage
-/// decision with the paper's coefficients, but without the tiled candidate
-/// index, so both stages score every candidate in full.
+/// decision with the paper's coefficients, differing only in stage 2, which
+/// here scores every candidate in full instead of pruning.
 ///
-/// The tiled index only prunes candidates that provably cannot win, so
-/// this policy picks the same Dark Core Map and the same thread mapping,
-/// and each stage's `candidates_evaluated` here equals `evaluated +
-/// pruned` there. It reports the name `"Hayat"` and is reachable only by
-/// constructing it: no [`PolicyKind`](crate::PolicyKind) selects it.
+/// Stage 1 (the Dark Core Map) is the same dense scan in both. Stage 2's
+/// pruning only drops candidates that provably cannot win, so this policy
+/// picks the same thread mapping, and its stage-2 `candidates_evaluated`
+/// equals `evaluated + pruned` there. It reports the name `"Hayat"` and is
+/// reachable only by constructing it: no [`PolicyKind`](crate::PolicyKind)
+/// selects it.
 #[derive(Debug, Clone, Default)]
 pub struct UnprunedHayatPolicy(HayatPolicy);
 
@@ -1062,6 +876,8 @@ mod tests {
     use crate::system::ChipSystem;
     use hayat_aging::Health;
     use hayat_units::Years;
+    use proptest::prelude::*;
+    use std::sync::{Arc, OnceLock};
 
     fn setup(dark: f64, threads: usize) -> (ChipSystem, WorkloadMix) {
         let mut cfg = SimulationConfig::quick_demo();
@@ -1213,50 +1029,36 @@ mod tests {
 
     #[test]
     fn dcm_candidate_evaluations_match_the_closed_form() {
-        // Hoisting the leakage snapshot must not change how many candidates
-        // the greedy DCM loop scores: sum_{k=0}^{n_on-1} (n - k) on the
-        // exhaustive path. The tiled path may score fewer, but evaluated
-        // plus pruned must land on the same closed form — the tiles hide
-        // candidates, they never invent or lose any.
+        // The greedy DCM scores every still-free core at every step:
+        // sum_{k=0}^{n_on-1} (n - k) evaluations, whichever policy runs it.
+        // Stage 1 prunes nothing, so it reports no pruned counter.
         let (system, workload) = setup(0.5, 16);
         let n = system.floorplan().core_count() as u64; // 64 in quick_demo
         let n_on = 16u64;
         let expected: u64 = (0..n_on).map(|k| n - k).sum();
         assert_eq!(expected, 904);
 
-        let recorder = hayat_telemetry::MemoryRecorder::new();
-        UnprunedHayatPolicy::default()
-            .map_threads(&ctx(&system).with_recorder(&recorder), &workload);
-        let summary = recorder.summary();
-        assert_eq!(
-            summary.counter_total("policy.dcm.candidates_evaluated"),
-            Some(expected)
-        );
-        assert_eq!(
-            summary.counter_total("policy.dcm.candidates_pruned"),
-            Some(0)
-        );
-        assert_eq!(summary.counter_total("policy.dcm.tiles_scanned"), Some(0));
-
-        let recorder = hayat_telemetry::MemoryRecorder::new();
-        HayatPolicy::default().map_threads(&ctx(&system).with_recorder(&recorder), &workload);
-        let summary = recorder.summary();
-        let evaluated = summary
-            .counter_total("policy.dcm.candidates_evaluated")
-            .unwrap();
-        let pruned = summary
-            .counter_total("policy.dcm.candidates_pruned")
-            .unwrap();
-        assert_eq!(evaluated + pruned, expected);
-        assert!(pruned > 0, "a 64-core DCM scan should prune something");
-        assert!(summary.counter_total("policy.dcm.tiles_scanned").unwrap() > 0);
+        let unpruned: Box<dyn Policy> = Box::<UnprunedHayatPolicy>::default();
+        let hayat: Box<dyn Policy> = Box::<HayatPolicy>::default();
+        for mut policy in [unpruned, hayat] {
+            let recorder = hayat_telemetry::MemoryRecorder::new();
+            policy.map_threads(&ctx(&system).with_recorder(&recorder), &workload);
+            let summary = recorder.summary();
+            assert_eq!(
+                summary.counter_total("policy.dcm.candidates_evaluated"),
+                Some(expected)
+            );
+            assert_eq!(summary.counter_total("policy.dcm.candidates_pruned"), None);
+            assert_eq!(summary.counter_total("policy.dcm.tiles_scanned"), None);
+        }
     }
 
     #[test]
     fn tiled_and_exhaustive_search_paths_produce_identical_mappings() {
-        // The tentpole invariant: the tiled index is a pure pruning overlay.
-        // Same DCM, same assignment, and the per-stage candidate accounting
-        // must reconcile exactly (evaluated + pruned == oracle's evaluated).
+        // Stage 2's pruning is a pure overlay: both policies build the same
+        // DCM with the same stage-1 work, make the same assignment, and
+        // stage 2's candidate accounting reconciles exactly (evaluated +
+        // pruned == the reference's evaluated).
         let (mut system, workload) = setup(0.5, 24);
         // Age the chip unevenly so the health term actually discriminates.
         for i in 0..system.floorplan().core_count() {
@@ -1265,31 +1067,312 @@ mod tests {
                 .health_mut()
                 .set(hayat_floorplan::CoreId::new(i), Health::new(h));
         }
-        let tiled_rec = hayat_telemetry::MemoryRecorder::new();
+        let pruned_rec = hayat_telemetry::MemoryRecorder::new();
         let ex_rec = hayat_telemetry::MemoryRecorder::new();
-        let m_tiled =
-            HayatPolicy::default().map_threads(&ctx(&system).with_recorder(&tiled_rec), &workload);
+        let m_pruned =
+            HayatPolicy::default().map_threads(&ctx(&system).with_recorder(&pruned_rec), &workload);
         let m_ex = UnprunedHayatPolicy::default()
             .map_threads(&ctx(&system).with_recorder(&ex_rec), &workload);
-        assert_eq!(m_tiled, m_ex);
+        assert_eq!(m_pruned, m_ex);
 
-        let ts = tiled_rec.summary();
+        let ps = pruned_rec.summary();
         let es = ex_rec.summary();
-        for stage in ["policy.dcm", "policy.hayat"] {
-            let evaluated = ts
-                .counter_total(&format!("{stage}.candidates_evaluated"))
-                .unwrap();
-            let pruned = ts
-                .counter_total(&format!("{stage}.candidates_pruned"))
-                .unwrap();
-            let oracle = es
-                .counter_total(&format!("{stage}.candidates_evaluated"))
-                .unwrap();
-            assert_eq!(
-                evaluated + pruned,
-                oracle,
-                "{stage}: tiled candidate accounting must reconcile"
-            );
+        let dcm = "policy.dcm.candidates_evaluated";
+        assert!(ps.counter_total(dcm).is_some());
+        assert_eq!(ps.counter_total(dcm), es.counter_total(dcm));
+        let evaluated = ps
+            .counter_total("policy.hayat.candidates_evaluated")
+            .unwrap();
+        let pruned = ps.counter_total("policy.hayat.candidates_pruned").unwrap();
+        let oracle = es
+            .counter_total("policy.hayat.candidates_evaluated")
+            .unwrap();
+        assert_eq!(
+            evaluated + pruned,
+            oracle,
+            "stage 2's candidate accounting must reconcile"
+        );
+    }
+
+    impl HayatPolicy {
+        /// The in-line DCM scan the dense one replaced, kept as its
+        /// reference: every greedy step scores every still-free core with
+        /// the whole expression written out. Expects
+        /// [`dcm_inputs`](HayatPolicy::dcm_inputs) to have prepared
+        /// `scratch`. Returns the candidate-evaluation count.
+        fn select_dcm_exhaustive(
+            &self,
+            ctx: &PolicyContext<'_>,
+            n_on: usize,
+            cap: f64,
+            mean_dynamic: f64,
+            preserve_threshold: f64,
+            scratch: &mut PolicyScratch,
+        ) -> u64 {
+            let cfg = &self.config;
+            let system = ctx.system;
+            let fp = system.floorplan();
+            let n = fp.core_count();
+            let predictor = system.predictor();
+            let mut candidates_evaluated: u64 = 0;
+            for _ in 0..n_on.min(n) {
+                let mut best: Option<(f64, CoreId)> = None;
+                for cand in fp.cores() {
+                    if scratch.on[cand.index()] {
+                        continue;
+                    }
+                    candidates_evaluated += 1;
+                    let f = scratch.aged_fmax[cand.index()];
+                    // Same arithmetic as the pre-snapshot code (power is the
+                    // dynamic+leakage sum, leak the difference back) so scores
+                    // stay bit-identical.
+                    let power = mean_dynamic + scratch.dcm_leakage[cand.index()];
+                    let t_cand = system.thermal_config().ambient.value()
+                        + scratch.dcm_rise[cand.index()]
+                        + power * predictor.rise_row(cand)[cand.index()];
+                    let leak = power - mean_dynamic;
+                    let score = f.min(cap)
+                        - cfg.excess_penalty * (f - preserve_threshold).max(0.0)
+                        - cfg.lambda_ghz_per_kelvin * t_cand
+                        - cfg.mu_ghz_per_watt * leak;
+                    if best.is_none_or(|(s, _)| score > s) {
+                        best = Some((score, cand));
+                    }
+                }
+                let (_, core) = best.expect("n_on is at most the core count");
+                scratch.on[core.index()] = true;
+                let p = mean_dynamic + scratch.dcm_leakage[core.index()];
+                hayat_linalg::axpy_in_place(&mut scratch.dcm_rise, p, predictor.rise_row(core));
+            }
+            candidates_evaluated
+        }
+    }
+
+    /// The hot-lane list as an insertion pass over every lane builds it:
+    /// the reference [`rebuild_hot_lanes`] reproduces.
+    fn insertion_hot_lanes(rise: &[f64], hot_k: usize) -> Vec<u32> {
+        let mut hot_lanes: Vec<u32> = Vec::new();
+        for i in 0..rise.len() {
+            let r = rise[i];
+            if hot_lanes.len() == hot_k {
+                let tail = *hot_lanes.last().expect("non-empty") as usize;
+                if r <= rise[tail] {
+                    continue;
+                }
+                *hot_lanes.last_mut().expect("non-empty") = i as u32;
+            } else {
+                hot_lanes.push(i as u32);
+            }
+            let mut k = hot_lanes.len() - 1;
+            while k > 0 {
+                let a = hot_lanes[k] as usize;
+                let b = hot_lanes[k - 1] as usize;
+                if rise[a] <= rise[b] {
+                    break;
+                }
+                hot_lanes.swap(k, k - 1);
+                k -= 1;
+            }
+        }
+        hot_lanes
+    }
+
+    /// One step of the SplitMix64 generator (test-local shuffles).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Square and non-square meshes from 2×2 to 16×16.
+    const MESHES: [(usize, usize); 6] = [(2, 2), (3, 5), (4, 4), (8, 8), (12, 20), (16, 16)];
+
+    /// The expensive per-mesh parts of a system (chip stream, RC network,
+    /// learned predictor), built once per mesh and shared by every case.
+    struct MeshParts {
+        config: SimulationConfig,
+        stream: hayat_variation::ChipStream,
+        network: Arc<hayat_thermal::RcNetwork>,
+        predictor: Arc<hayat_thermal::ThermalPredictor>,
+    }
+
+    fn mesh_parts(mesh: usize) -> &'static MeshParts {
+        static PARTS: [OnceLock<MeshParts>; MESHES.len()] =
+            [const { OnceLock::new() }; MESHES.len()];
+        PARTS[mesh].get_or_init(|| {
+            let config = SimulationConfig {
+                mesh: MESHES[mesh],
+                chip_count: 4,
+                ..SimulationConfig::paper(0.5)
+            };
+            let fp = config.floorplan();
+            let network = Arc::new(hayat_thermal::RcNetwork::new(&fp, &config.thermal));
+            MeshParts {
+                stream: hayat_variation::ChipStream::new(
+                    &fp,
+                    &config.variation,
+                    config.variation_seed,
+                )
+                .unwrap(),
+                predictor: Arc::new(hayat_thermal::ThermalPredictor::learn_on(&network)),
+                network,
+                config,
+            }
+        })
+    }
+
+    fn aging_table() -> Arc<hayat_aging::AgingTable> {
+        static TABLE: OnceLock<Arc<hayat_aging::AgingTable>> = OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            Arc::new(hayat_aging::AgingTable::generate(
+                &hayat_aging::AgingModel::paper(1),
+                &hayat_aging::TableAxes::paper(),
+            ))
+        });
+        Arc::clone(table)
+    }
+
+    /// Chip `chip` of the population on `MESHES[mesh]`, or with `None` a
+    /// chip whose ϑ field is uniform: every core equally fast and leaky.
+    fn mesh_system(mesh: usize, chip: Option<usize>) -> ChipSystem {
+        let parts = mesh_parts(mesh);
+        let fp = parts.config.floorplan();
+        let chip = match chip {
+            Some(index) => parts.stream.chip(index),
+            None => {
+                let params = &parts.config.variation;
+                let design = hayat_variation::CriticalPathMap::synthesize(
+                    &fp,
+                    params.sites_per_core,
+                    params.design_seed,
+                );
+                let grid = fp.variation_grid().clone();
+                let theta = hayat_variation::ThetaField::from_values(
+                    grid.clone(),
+                    fp.cols(),
+                    vec![params.mean; grid.cell_count()],
+                );
+                hayat_variation::Chip::from_theta(0, &fp, &design, theta, params)
+            }
+        };
+        ChipSystem::from_parts(
+            fp,
+            chip,
+            &parts.config,
+            Arc::clone(&parts.network),
+            Arc::clone(&parts.predictor),
+            aging_table(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn dense_dcm_scan_matches_the_in_line_reference(
+            mesh in 0usize..MESHES.len(),
+            chip in 0usize..5,
+            healths in prop::collection::vec(0.8f64..=1.0, 256),
+            lambda in -0.2f64..0.2,
+            flat in 0usize..4,
+            load in 0.05f64..=1.0,
+            seed in 0u64..1_000,
+        ) {
+            // Chip 4 stands for the uniform chip at full health, where every
+            // aged fmax ties. With `flat == 0` the temperature and leakage
+            // terms are switched off too, so on that chip every score ties
+            // exactly and the first-strict-max rule decides every step.
+            let mut system = mesh_system(mesh, (chip < 4).then_some(chip));
+            let n = system.floorplan().core_count();
+            if chip < 4 {
+                for (i, &h) in healths.iter().take(n).enumerate() {
+                    system.health_mut().set(CoreId::new(i), Health::new(h));
+                }
+            }
+            let n_on = ((n as f64 * load).ceil() as usize).clamp(1, n);
+            let workload = WorkloadMix::generate(seed, n_on);
+            let paper = HayatConfig::paper();
+            let policy = HayatPolicy::new(HayatConfig {
+                lambda_ghz_per_kelvin: if flat == 0 { 0.0 } else { lambda },
+                mu_ghz_per_watt: if flat == 0 { 0.0 } else { paper.mu_ghz_per_watt },
+                ..paper
+            });
+            let ctx = ctx(&system);
+
+            let mut dense = PolicyScratch::new();
+            system.aged_fmax_into(&mut dense.aged_fmax);
+            policy.select_dcm(&ctx, &workload, n_on, &mut dense);
+
+            let mut reference = PolicyScratch::new();
+            system.aged_fmax_into(&mut reference.aged_fmax);
+            let (cap, mean_dynamic, threshold) =
+                policy.dcm_inputs(&ctx, &workload, &mut reference);
+            policy.select_dcm_exhaustive(&ctx, n_on, cap, mean_dynamic, threshold, &mut reference);
+
+            prop_assert_eq!(dense.on.iter().filter(|&&on| on).count(), n_on);
+            prop_assert_eq!(&dense.on, &reference.on);
+            // Same picks in the same order: the rise sums carry the order.
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&dense.dcm_rise), bits(&reference.dcm_rise));
+            // Every core's dense score carries the in-line expression's
+            // exact bits (here at the greedy's final rise), so no near-tie
+            // can resolve differently either.
+            let cfg = policy.config();
+            let ambient = system.thermal_config().ambient.value();
+            for c in 0..n {
+                let rise = reference.dcm_rise[c];
+                let f = reference.aged_fmax[c];
+                let power = mean_dynamic + reference.dcm_leakage[c];
+                let t_cand = ambient
+                    + rise
+                    + power * system.predictor().rise_row(CoreId::new(c))[c];
+                let in_line = f.min(cap)
+                    - cfg.excess_penalty * (f - threshold).max(0.0)
+                    - cfg.lambda_ghz_per_kelvin * t_cand
+                    - cfg.mu_ghz_per_watt * (power - mean_dynamic);
+                let dense_score = dcm_score(
+                    dense.dcm_base[c],
+                    cfg.lambda_ghz_per_kelvin,
+                    ambient,
+                    rise,
+                    dense.dcm_self_rise[c],
+                    dense.dcm_leak_penalty[c],
+                );
+                prop_assert_eq!(dense_score.to_bits(), in_line.to_bits());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn threshold_hot_lanes_match_the_insertion_pass(
+            raw in prop::collection::vec(0u32..1_000_000, 1..=1024),
+            distinct_log2 in 0u32..21,
+            scale in 0.001f64..10.0,
+            k_draw in 0usize..1024,
+            shuffle_seed in 0u64..u64::MAX,
+        ) {
+            // Few distinct levels force exact ties; many make them rare.
+            let n = raw.len();
+            let k = 1 + k_draw % n;
+            let rise: Vec<f64> = raw
+                .iter()
+                .map(|&r| f64::from(r % (1 << distinct_log2)) * scale)
+                .collect();
+            // Any k distinct lanes may come in: a seeded shuffle's prefix.
+            let mut lanes: Vec<u32> = (0..n as u32).collect();
+            let mut state = shuffle_seed;
+            for i in (1..n).rev() {
+                let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
+                lanes.swap(i, j);
+            }
+            lanes.truncate(k);
+            rebuild_hot_lanes(&rise, &mut lanes);
+            prop_assert_eq!(lanes, insertion_hot_lanes(&rise, k));
         }
     }
 

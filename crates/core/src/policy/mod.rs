@@ -62,35 +62,28 @@ pub struct PolicyScratch {
     /// Scratch for the collapsed 1D age curve of the candidate health
     /// advance.
     pub age_curve: AgeCurveScratch,
-    /// Tiled DCM search: per-core cached greedy score from the step it was
-    /// last evaluated — scores are monotone non-increasing over the greedy,
-    /// so a stale cache entry is a true upper bound on the current score.
-    pub dcm_score0: Vec<f64>,
-    /// Tiled DCM search: the greedy step at which each core's cached score
-    /// was computed (lazy-refresh freshness stamp).
-    pub dcm_stamp: Vec<u32>,
-    /// Tiled DCM search: core indices grouped by tile, each tile segment
-    /// sorted by (cached score descending, index ascending).
-    pub tile_members: Vec<u32>,
-    /// Tiled DCM search: segment offsets into `tile_members`
-    /// (`tile_count + 1` entries).
-    pub tile_start: Vec<u32>,
-    /// Tiled DCM search: per-tile cursor past the already-selected prefix
-    /// of the sorted segment (monotone within a decision).
-    pub tile_cursor: Vec<u32>,
-    /// Tiled DCM search: the greedy step at which each tile last had a head
-    /// refreshed (drives the `tiles_scanned` counter).
-    pub tile_stamp: Vec<u32>,
-    /// Tiled mapping search: certainly-infeasible candidates deferred as
+    /// DCM greedy: each core's frequency term of the score,
+    /// `min(f, cap) − excess·max(0, f − preserve threshold)`.
+    pub dcm_base: Vec<f64>,
+    /// DCM greedy: each core's own share of its predicted temperature,
+    /// `power·R[c][c]`.
+    pub dcm_self_rise: Vec<f64>,
+    /// DCM greedy: each core's leakage penalty, `μ·leakage`.
+    pub dcm_leak_penalty: Vec<f64>,
+    /// VAA: per-core count of occupied mesh neighbours, kept current on
+    /// every assignment of the decision.
+    pub occupied_neighbors: Vec<u8>,
+    /// Stage-2 pruning: certainly-infeasible candidates deferred as
     /// `(peak lower bound, on-list position)` until the thread is known to
     /// need the thermal-emergency fallback.
     pub fallback_pool: Vec<(f64, u32)>,
-    /// Tiled mapping search: indices of the hottest rise lanes (descending),
-    /// recomputed after each assignment — a candidate's peak usually sits on
-    /// one of these, so they make the O(1) peak lower bound tight.
+    /// Stage-2 pruning: indices of the hottest rise lanes (rise descending,
+    /// index ascending), rebuilt after each assignment — a candidate's peak
+    /// usually sits on one of these, so they make the O(1) peak lower bound
+    /// tight.
     pub hot_lanes: Vec<u32>,
-    /// Tiled mapping search: on-DCM core indices in ascending order —
-    /// Algorithm 1's candidate list without the all-cores filter walk.
+    /// Stage 2: on-DCM core indices in ascending order — Algorithm 1's
+    /// candidate list without the all-cores filter walk.
     pub on_list: Vec<u32>,
     /// Recycled mappings: policies pop from here instead of allocating and
     /// the engine pushes each epoch's mapping back after its transient

@@ -4,7 +4,7 @@
 
 use crate::mapping::ThreadMapping;
 use crate::policy::{Policy, PolicyContext, PolicyScratch};
-use hayat_floorplan::CoreId;
+use hayat_floorplan::{CoreId, Floorplan};
 use hayat_telemetry::RecorderExt;
 use hayat_workload::WorkloadMix;
 use serde::{Deserialize, Serialize};
@@ -43,43 +43,58 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct VaaPolicy;
 
+/// How many of the region's nearest free cores (BFS order) a thread picks
+/// its core from: the window keeps the placement contiguous while still
+/// preferring speed inside it.
+const REGION_WINDOW: usize = 4;
+
 impl VaaPolicy {
     /// Smart-hill-climbing first-node selection. SHiC keeps the overall
     /// allocation compact to avoid fragmenting the free area: after the
     /// first application, new regions start adjacent to already-occupied
     /// cores (most occupied neighbours first), tie-broken toward the fastest
     /// core (max throughput). The very first application starts at the free
-    /// core with the most free neighbours.
-    fn first_node(ctx: &PolicyContext<'_>, mapping: &ThreadMapping) -> Option<CoreId> {
-        let fp = ctx.system.floorplan();
+    /// core with the most free neighbours. Among exact ties the later core
+    /// wins (`max_by`'s rule).
+    ///
+    /// Reads the decision's occupied-neighbour counts and aged-frequency
+    /// snapshot from `scratch`, so one call is a single pass over the cores.
+    fn first_node(
+        fp: &Floorplan,
+        mapping: &ThreadMapping,
+        scratch: &PolicyScratch,
+    ) -> Option<CoreId> {
         let anything_mapped = mapping.active_cores() > 0;
+        let occupied = &scratch.occupied_neighbors;
+        let fmax = &scratch.aged_fmax;
+        let key = |c: CoreId| {
+            let occupied = usize::from(occupied[c.index()]);
+            if anything_mapped {
+                occupied
+            } else {
+                fp.neighbors(c).count() - occupied
+            }
+        };
         fp.cores().filter(|&c| mapping.is_free(c)).max_by(|&a, &b| {
-            let key = |c: CoreId| {
-                if anything_mapped {
-                    fp.neighbors(c).filter(|&n| !mapping.is_free(n)).count()
-                } else {
-                    fp.neighbors(c).filter(|&n| mapping.is_free(n)).count()
-                }
-            };
             key(a).cmp(&key(b)).then(
-                ctx.system
-                    .aged_fmax(a)
-                    .partial_cmp(&ctx.system.aged_fmax(b))
+                fmax[a.index()]
+                    .partial_cmp(&fmax[b.index()])
                     .expect("frequencies are finite"),
             )
         })
     }
 
-    /// Collects free cores in BFS order from `start` — the contiguous region
-    /// an application expands into. Fills `scratch.region`, reusing the
-    /// scratch's visited flags and BFS queue.
+    /// Collects the first [`REGION_WINDOW`] free cores in BFS order from
+    /// `start` — the nearest part of the contiguous region an application
+    /// expands into. Fills `scratch.region`, reusing the scratch's visited
+    /// flags and BFS queue. The BFS stops once the window is full: its first
+    /// pops do not depend on what it would visit later.
     fn region_into(
-        ctx: &PolicyContext<'_>,
+        fp: &Floorplan,
         mapping: &ThreadMapping,
         start: CoreId,
         scratch: &mut PolicyScratch,
     ) {
-        let fp = ctx.system.floorplan();
         scratch.region.clear();
         scratch.seen.clear();
         scratch.seen.resize(fp.core_count(), false);
@@ -89,6 +104,9 @@ impl VaaPolicy {
         while let Some(core) = scratch.queue.pop_front() {
             if mapping.is_free(core) {
                 scratch.region.push(core);
+                if scratch.region.len() == REGION_WINDOW {
+                    break;
+                }
             }
             for n in fp.neighbors(core) {
                 if !scratch.seen[n.index()] && mapping.is_free(n) {
@@ -112,12 +130,15 @@ impl VaaPolicy {
         let fp = system.floorplan();
         let mut mapping = scratch.take_mapping(fp.core_count());
         let mut candidates_evaluated: u64 = 0;
+        system.aged_fmax_into(&mut scratch.aged_fmax);
+        scratch.occupied_neighbors.clear();
+        scratch.occupied_neighbors.resize(fp.core_count(), 0);
 
         for app in workload.applications() {
             if mapping.active_cores() >= system.budget().max_on() {
                 break;
             }
-            let Some(start) = Self::first_node(ctx, &mapping) else {
+            let Some(start) = Self::first_node(fp, &mapping, scratch) else {
                 break;
             };
             // Threads of the app, hardest-first within the region.
@@ -138,35 +159,33 @@ impl VaaPolicy {
                 }
                 let (required, tid) = scratch.threads[ti];
                 // The contiguous region as currently free, nearest-first.
-                Self::region_into(ctx, &mapping, start, scratch);
+                Self::region_into(fp, &mapping, start, scratch);
                 // Max throughput: the fastest feasible core among the
-                // region's nearest cores (window keeps the placement
-                // contiguous while still preferring speed).
-                let window = scratch.region.len().min(4);
-                candidates_evaluated += window as u64;
-                let near_best = scratch.region[..window]
+                // region's nearest cores.
+                candidates_evaluated += scratch.region.len() as u64;
+                let fmax = &scratch.aged_fmax;
+                let fastest = |a: &CoreId, b: &CoreId| {
+                    fmax[a.index()]
+                        .partial_cmp(&fmax[b.index()])
+                        .expect("frequencies are finite")
+                };
+                let near_best = scratch
+                    .region
                     .iter()
                     .copied()
-                    .filter(|&c| system.can_host(c, required))
-                    .max_by(|&a, &b| {
-                        system
-                            .aged_fmax(a)
-                            .partial_cmp(&system.aged_fmax(b))
-                            .expect("frequencies are finite")
-                    });
+                    .filter(|&c| fmax[c.index()] >= required.value())
+                    .max_by(fastest);
                 // Fall back to the fastest feasible core anywhere.
                 let chosen = near_best.or_else(|| {
                     fp.cores()
-                        .filter(|&c| mapping.is_free(c) && system.can_host(c, required))
-                        .max_by(|&a, &b| {
-                            system
-                                .aged_fmax(a)
-                                .partial_cmp(&system.aged_fmax(b))
-                                .expect("frequencies are finite")
-                        })
+                        .filter(|&c| mapping.is_free(c) && fmax[c.index()] >= required.value())
+                        .max_by(fastest)
                 });
                 if let Some(core) = chosen {
                     mapping.assign(tid, core);
+                    for n in fp.neighbors(core) {
+                        scratch.occupied_neighbors[n.index()] += 1;
+                    }
                 }
             }
         }

@@ -32,11 +32,9 @@ mod error;
 mod floorplan;
 mod grid;
 mod position;
-mod tiles;
 
 pub use crate::core_id::CoreId;
 pub use crate::error::BuildFloorplanError;
 pub use crate::floorplan::{Floorplan, FloorplanBuilder, Neighbors};
 pub use crate::grid::{GridCell, GridOverlay};
 pub use crate::position::{CorePosition, Millimeters, Point};
-pub use crate::tiles::TileOverlay;

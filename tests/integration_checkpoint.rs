@@ -279,9 +279,9 @@ fn completed_checkpoint_resumes_instantly_without_rerunning() {
 /// oracle. The checkpoint holds a half-finished decade campaign (both VAA
 /// runs durable, Hayat chip 0 in flight); the reference is the full
 /// uninterrupted campaign's `--json` export at `--jobs 1`. Resuming that
-/// checkpoint with today's decision path (the age-curve inversion and the
-/// tiled candidate index) must complete the campaign and reproduce the
-/// pre-refactor export byte for byte.
+/// checkpoint with today's decision path (the age-curve inversion, the
+/// dense DCM scan and stage 2's pruning) must complete the campaign and
+/// reproduce the pre-refactor export byte for byte.
 #[test]
 fn pre_refactor_fixture_resumes_byte_identical_on_the_fast_path() {
     // The exact flags the fixture was generated with:

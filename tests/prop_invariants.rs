@@ -3,21 +3,30 @@
 //! thermal sanity under arbitrary (bounded) inputs.
 
 use hayat::{
-    ChipSystem, DarkCoreMap, HayatPolicy, Policy, SimulationConfig, SimulationEngine,
-    ThreadMapping, UnprunedHayatPolicy,
+    ChipSystem, DarkCoreMap, HayatPolicy, Policy, PolicyContext, PolicyScratch, SimulationConfig,
+    SimulationEngine, ThreadMapping, UnprunedHayatPolicy, VaaPolicy,
 };
 use hayat_aging::{AgingModel, AgingTable, Health, TableAxes};
 use hayat_floorplan::{CoreId, Floorplan, FloorplanBuilder};
-use hayat_thermal::{steady_state, Integrator, ThermalConfig};
+use hayat_telemetry::MemoryRecorder;
+use hayat_thermal::{steady_state, Integrator, RcNetwork, ThermalConfig, ThermalPredictor};
 use hayat_units::{DutyCycle, Kelvin, Watts, Years};
-use hayat_workload::ThreadId;
+use hayat_variation::{Chip, ChipStream, CriticalPathMap, ThetaField};
+use hayat_workload::{ThreadId, WorkloadMix};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::sync::{Arc, OnceLock};
 
 /// One shared aging table: generation is the expensive offline step.
-fn table() -> &'static AgingTable {
-    static TABLE: OnceLock<AgingTable> = OnceLock::new();
-    TABLE.get_or_init(|| AgingTable::generate(&AgingModel::paper(1), &TableAxes::paper()))
+fn table() -> &'static Arc<AgingTable> {
+    static TABLE: OnceLock<Arc<AgingTable>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        Arc::new(AgingTable::generate(
+            &AgingModel::paper(1),
+            &TableAxes::paper(),
+        ))
+    })
 }
 
 proptest! {
@@ -207,7 +216,7 @@ proptest! {
     }
 }
 
-// The tiled-search contract: the tiled candidate index is a pure pruning
+// The stage-2 pruning contract: Hayat's candidate pruning is a pure
 // overlay over the exhaustive mapping scan, so an engine running
 // `HayatPolicy` and one running the `UnprunedHayatPolicy` reference must
 // produce bit-identical runs — every decision, every temperature, every
@@ -240,6 +249,269 @@ proptest! {
         prop_assert_eq!(
             run(Box::<HayatPolicy>::default()),
             run(Box::<UnprunedHayatPolicy>::default())
+        );
+    }
+}
+
+/// `VaaPolicy`'s decision as first written, kept as its reference: every
+/// first-node comparison recounts both cores' neighbours, and every thread
+/// walks the whole free component from its application's start core
+/// although only the nearest four cores are read.
+struct ReferenceVaa;
+
+impl ReferenceVaa {
+    fn first_node(ctx: &PolicyContext<'_>, mapping: &ThreadMapping) -> Option<CoreId> {
+        let fp = ctx.system.floorplan();
+        let anything_mapped = mapping.active_cores() > 0;
+        fp.cores().filter(|&c| mapping.is_free(c)).max_by(|&a, &b| {
+            let key = |c: CoreId| {
+                if anything_mapped {
+                    fp.neighbors(c).filter(|&n| !mapping.is_free(n)).count()
+                } else {
+                    fp.neighbors(c).filter(|&n| mapping.is_free(n)).count()
+                }
+            };
+            key(a).cmp(&key(b)).then(
+                ctx.system
+                    .aged_fmax(a)
+                    .partial_cmp(&ctx.system.aged_fmax(b))
+                    .expect("frequencies are finite"),
+            )
+        })
+    }
+
+    fn region(ctx: &PolicyContext<'_>, mapping: &ThreadMapping, start: CoreId) -> Vec<CoreId> {
+        let fp = ctx.system.floorplan();
+        let mut region = Vec::new();
+        let mut seen = vec![false; fp.core_count()];
+        let mut queue = VecDeque::from([start]);
+        seen[start.index()] = true;
+        while let Some(core) = queue.pop_front() {
+            if mapping.is_free(core) {
+                region.push(core);
+            }
+            for n in fp.neighbors(core) {
+                if !seen[n.index()] && mapping.is_free(n) {
+                    seen[n.index()] = true;
+                    queue.push_back(n);
+                }
+            }
+        }
+        region
+    }
+}
+
+impl Policy for ReferenceVaa {
+    fn name(&self) -> &str {
+        "VAA"
+    }
+
+    fn map_threads(&mut self, ctx: &PolicyContext<'_>, workload: &WorkloadMix) -> ThreadMapping {
+        let system = ctx.system;
+        let fp = system.floorplan();
+        let mut mapping = ThreadMapping::empty(fp.core_count());
+        let mut candidates_evaluated: u64 = 0;
+        for app in workload.applications() {
+            if mapping.active_cores() >= system.budget().max_on() {
+                break;
+            }
+            let Some(start) = Self::first_node(ctx, &mapping) else {
+                break;
+            };
+            let mut threads: Vec<_> = app
+                .threads()
+                .map(|(tid, p)| (p.min_frequency(), tid))
+                .collect();
+            threads.sort_unstable_by(|a, b| {
+                b.0.partial_cmp(&a.0)
+                    .expect("frequencies are finite")
+                    .then(a.1.cmp(&b.1))
+            });
+            for (required, tid) in threads {
+                if mapping.active_cores() >= system.budget().max_on() {
+                    break;
+                }
+                let region = Self::region(ctx, &mapping, start);
+                let window = region.len().min(4);
+                candidates_evaluated += window as u64;
+                let near_best = region[..window]
+                    .iter()
+                    .copied()
+                    .filter(|&c| system.can_host(c, required))
+                    .max_by(|&a, &b| {
+                        system
+                            .aged_fmax(a)
+                            .partial_cmp(&system.aged_fmax(b))
+                            .expect("frequencies are finite")
+                    });
+                let chosen = near_best.or_else(|| {
+                    fp.cores()
+                        .filter(|&c| mapping.is_free(c) && system.can_host(c, required))
+                        .max_by(|&a, &b| {
+                            system
+                                .aged_fmax(a)
+                                .partial_cmp(&system.aged_fmax(b))
+                                .expect("frequencies are finite")
+                        })
+                });
+                if let Some(core) = chosen {
+                    mapping.assign(tid, core);
+                }
+            }
+        }
+        ctx.recorder
+            .counter("policy.vaa.candidates_evaluated", candidates_evaluated);
+        mapping
+    }
+}
+
+/// The expensive per-mesh parts of a system (chip stream, RC network,
+/// learned predictor), built once per mesh and shared by every case.
+struct MeshParts {
+    config: SimulationConfig,
+    stream: ChipStream,
+    network: Arc<RcNetwork>,
+    predictor: Arc<ThermalPredictor>,
+}
+
+impl MeshParts {
+    fn new(mesh: (usize, usize)) -> Self {
+        let config = SimulationConfig {
+            mesh,
+            chip_count: 4,
+            ..SimulationConfig::paper(0.5)
+        };
+        let fp = config.floorplan();
+        let network = Arc::new(RcNetwork::new(&fp, &config.thermal));
+        MeshParts {
+            stream: ChipStream::new(&fp, &config.variation, config.variation_seed)
+                .expect("the paper's variation parameters are valid"),
+            predictor: Arc::new(ThermalPredictor::learn_on(&network)),
+            network,
+            config,
+        }
+    }
+
+    /// Chip `chip` of the population at `dark` (with `None`, a chip whose ϑ
+    /// field is uniform: every core equally fast, so at equal health every
+    /// aged fmax ties), its cores aged to `healths` (cycled).
+    fn system(&self, chip: Option<usize>, dark: f64, healths: &[f64]) -> ChipSystem {
+        let fp = self.config.floorplan();
+        let params = &self.config.variation;
+        let chip = chip.map_or_else(
+            || {
+                let design =
+                    CriticalPathMap::synthesize(&fp, params.sites_per_core, params.design_seed);
+                let grid = fp.variation_grid().clone();
+                let theta = ThetaField::from_values(
+                    grid.clone(),
+                    fp.cols(),
+                    vec![params.mean; grid.cell_count()],
+                );
+                Chip::from_theta(0, &fp, &design, theta, params)
+            },
+            |index| self.stream.chip(index),
+        );
+        let config = SimulationConfig {
+            dark_fraction: dark,
+            ..self.config.clone()
+        };
+        let mut system = ChipSystem::from_parts(
+            fp,
+            chip,
+            &config,
+            Arc::clone(&self.network),
+            Arc::clone(&self.predictor),
+            Arc::clone(table()),
+        );
+        for (i, &h) in (0..system.floorplan().core_count()).zip(healths.iter().cycle()) {
+            system.health_mut().set(CoreId::new(i), Health::new(h));
+        }
+        system
+    }
+}
+
+/// Square and non-square meshes from 2×2 to 16×16.
+const VAA_MESHES: [(usize, usize); 7] =
+    [(2, 2), (2, 5), (3, 5), (4, 4), (8, 8), (12, 20), (16, 16)];
+
+fn vaa_mesh(mesh: usize) -> &'static MeshParts {
+    static PARTS: [OnceLock<MeshParts>; VAA_MESHES.len()] =
+        [const { OnceLock::new() }; VAA_MESHES.len()];
+    PARTS[mesh].get_or_init(|| MeshParts::new(VAA_MESHES[mesh]))
+}
+
+/// Maps `workload` with `VaaPolicy` (through a scratch last used for
+/// `warm_up`, so stale buffers would show) and with [`ReferenceVaa`], and
+/// checks both the mapping and the candidate count agree.
+fn assert_vaa_matches_reference(
+    system: &ChipSystem,
+    warm_up: &WorkloadMix,
+    workload: &WorkloadMix,
+) {
+    let scratch = RefCell::new(PolicyScratch::new());
+    let fast_rec = MemoryRecorder::new();
+    let ref_rec = MemoryRecorder::new();
+    let ctx = PolicyContext::new(system, Years::new(1.0), Years::new(0.0)).with_scratch(&scratch);
+    let _ = VaaPolicy.map_threads(&ctx, warm_up);
+    let fast = VaaPolicy.map_threads(&ctx.with_recorder(&fast_rec), workload);
+    let reference = ReferenceVaa.map_threads(&ctx.with_recorder(&ref_rec), workload);
+    assert_eq!(fast, reference);
+    let evaluated = "policy.vaa.candidates_evaluated";
+    assert_eq!(
+        fast_rec.summary().counter_total(evaluated),
+        ref_rec.summary().counter_total(evaluated)
+    );
+}
+
+// VAA's incremental first node and bounded region search against the
+// per-comparison recount and the full-component BFS they replaced: the
+// same mapping on every mesh, dark fraction, aging state and workload.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn vaa_maps_like_its_reference(
+        mesh in 0usize..VAA_MESHES.len(),
+        chip in 0usize..5,
+        dark in 0.0f64..=0.9,
+        healths in prop::collection::vec(0.8f64..=1.0, 1..=64),
+        load in 0.05f64..=1.2,
+        seed in 0u64..1_000,
+    ) {
+        // Chip 4 stands for the uniform chip at full health, where the
+        // later-core-wins tie rule decides every first node.
+        let parts = vaa_mesh(mesh);
+        let system = if chip < 4 {
+            parts.system(Some(chip), dark, &healths)
+        } else {
+            parts.system(None, dark, &[1.0])
+        };
+        let n = system.floorplan().core_count();
+        let threads = ((n as f64 * load).ceil() as usize).max(1);
+        let warm_up = WorkloadMix::generate(seed + 1, threads);
+        assert_vaa_matches_reference(&system, &warm_up, &WorkloadMix::generate(seed, threads));
+    }
+}
+
+/// A few fixed 32×32 cases, outside the proptest so tier-1 stays fast:
+/// fresh, aged and uniform chips at the three dark fractions.
+#[test]
+fn vaa_maps_like_its_reference_at_32x32() {
+    let parts = MeshParts::new((32, 32));
+    let aged: Vec<f64> = (0..37).map(|i| 0.8 + 0.2 * f64::from(i) / 36.0).collect();
+    for (chip, dark, healths, seed) in [
+        (Some(0), 0.75, &[1.0][..], 3),
+        (Some(1), 0.5, &aged[..], 5),
+        (Some(2), 0.25, &aged[..], 7),
+        (None, 0.75, &[1.0][..], 9),
+    ] {
+        let system = parts.system(chip, dark, healths);
+        let threads = system.budget().max_on();
+        assert_vaa_matches_reference(
+            &system,
+            &WorkloadMix::generate(seed + 1, threads),
+            &WorkloadMix::generate(seed, threads),
         );
     }
 }
