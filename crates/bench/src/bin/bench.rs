@@ -228,7 +228,7 @@ struct DecisionPath {
 }
 
 /// Overhead of the fleet observability layer: the fixed scaling campaign
-/// run plain (`run_with_jobs`) against the same campaign streamed through
+/// run plain (`try_run`) against the same campaign streamed through
 /// a [`FleetAccumulator`] with its summary rendered at the end.
 #[derive(Serialize)]
 struct Observability {
@@ -529,8 +529,13 @@ fn campaign_scaling(fast: bool, extra_jobs: Jobs) -> CampaignScaling {
     let policies = [hayat::sim::campaign::PolicyKind::Hayat];
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let serial = campaign.run_with_jobs(&policies, Jobs::serial());
-    let four = campaign.run_with_jobs(&policies, Jobs::new(4).expect("4 is positive"));
+    let run = |jobs: Jobs| {
+        campaign
+            .try_run(&policies, jobs, Arc::new(NullRecorder))
+            .expect("campaign runs")
+    };
+    let serial = run(Jobs::serial());
+    let four = run(Jobs::new(4).expect("4 is positive"));
     let deterministic = serde_json::to_string(&serial).expect("serializable")
         == serde_json::to_string(&four).expect("serializable");
     assert!(
@@ -556,7 +561,7 @@ fn campaign_scaling(fast: bool, extra_jobs: Jobs) -> CampaignScaling {
             let jobs_v = Jobs::new(jobs).expect("positive");
             let wall = time_best(
                 || {
-                    std::hint::black_box(campaign.run_with_jobs(&policies, jobs_v));
+                    std::hint::black_box(run(jobs_v));
                 },
                 reps,
             );
@@ -1039,7 +1044,10 @@ fn observability_overhead(fast: bool) -> Observability {
     let reps = if fast { 5 } else { 10 };
 
     let run_plain = || {
-        std::hint::black_box(campaign.run_with_jobs(&policies, Jobs::serial()));
+        let result = campaign
+            .try_run(&policies, Jobs::serial(), Arc::new(NullRecorder))
+            .expect("campaign runs");
+        std::hint::black_box(result);
     };
     let run_observed = || {
         let fleet = Mutex::new(FleetAccumulator::new());

@@ -11,11 +11,14 @@
 //! Defaults reproduce the paper campaign at 50% dark. Unknown flags abort
 //! with usage.
 //!
-//! Long campaigns can run crash-safe: `--checkpoint FILE` persists progress
-//! atomically (every `--every EPOCHS` epochs, default 8, plus every chip-run
-//! boundary), and `--resume FILE` continues an interrupted campaign — with
-//! the *same* config flags — skipping all completed work. A resumed campaign
-//! is bit-identical to an uninterrupted one.
+//! Long campaigns can run crash-safe: `--checkpoint DIR` persists progress
+//! atomically into a checkpoint directory (every `--every EPOCHS` epochs,
+//! default 8, plus every chip-run boundary; `--shard-checkpoints N` runs
+//! per sealed shard, default 256), and `--resume DIR` continues an
+//! interrupted campaign — with the *same* config flags — skipping all
+//! completed work. `--resume FILE` takes a v1 single-file checkpoint from
+//! an earlier build: it is imported into `FILE.shards/` and resumed from
+//! there. A resumed campaign is bit-identical to an uninterrupted one.
 //!
 //! Fleet scale: `--fleet N` simulates N chips without ever materializing
 //! them — chips stream from the seeded sampler, completed runs stream into
@@ -24,12 +27,11 @@
 //! sketches rather than per-run rows, so peak memory is O(1) in N. The
 //! exact per-run JSON stays available behind `--export-json FILE` (which
 //! opts back into O(N) memory) and `--replay POLICY:CHIP` (which
-//! regenerates any single run on demand). Fleet checkpoints shard
-//! (`--shard-checkpoints N`) so durable writes never serialize through one
-//! growing file.
+//! regenerates any single run on demand). Checkpoints shard, so durable
+//! writes never serialize through one growing file.
 
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -38,8 +40,8 @@ use hayat::{
     Batch, Campaign, CampaignResult, DynError, FleetAccumulator, Jobs, Pinning, ProgressOptions,
     RunMetrics, SimulationConfig,
 };
-use hayat_bench::env_default;
-use hayat_checkpoint::{Checkpointer, FailPoint, ShardedCheckpointer};
+use hayat_bench::{env_default, resume_dir};
+use hayat_checkpoint::{FailPoint, ShardedCheckpointer, DEFAULT_SHARD_RUNS};
 use hayat_runfmt::RunFileWriter;
 use hayat_telemetry::{JsonlRecorder, Recorder};
 
@@ -81,7 +83,7 @@ fn usage() -> ! {
          [--policies vaa,hayat,coolest,random] [--csv DIR] [--json FILE] \
          [--telemetry FILE.jsonl] [--fleet-stats FILE.json] \
          [--progress SECS] [--progress-jsonl FILE.jsonl] \
-         [--checkpoint FILE [--every EPOCHS] | --resume FILE] \
+         [--checkpoint DIR | --resume DIR|V1FILE] [--every EPOCHS] \
          [--fleet N] [--run-format FILE.runfmt] [--export-json FILE] \
          [--replay POLICY:CHIP] [--from-json FILE] [--shard-checkpoints N]\n\
          \n\
@@ -105,10 +107,14 @@ fn usage() -> ! {
          --floorplan RxC simulates an R-row × C-column core mesh (e.g. \
          32x32 or 16x64; overrides --mesh, which stays as the square \
          shorthand). \
-         --checkpoint runs the campaign with durable progress (written \
-         atomically every EPOCHS epochs and at chip boundaries); --resume \
-         continues from such a file, skipping completed work — a resumed \
-         run is bit-identical to an uninterrupted one, for any --jobs.\n\
+         --checkpoint runs the campaign with durable progress in a \
+         directory (written atomically every EPOCHS epochs and at chip \
+         boundaries, sealed into shards of --shard-checkpoints N runs, \
+         default 256); --resume continues from such a directory, skipping \
+         completed work — a resumed run is bit-identical to an \
+         uninterrupted one, for any --jobs. --resume V1FILE imports a \
+         single-file checkpoint of an earlier build into V1FILE.shards/ \
+         and resumes from there.\n\
          \n\
          --fleet N streams N chips through the campaign in O(1) memory: \
          per-run output goes to the compact columnar run file \
@@ -117,10 +123,7 @@ fn usage() -> ! {
          are rejected — --export-json FILE opts back into collecting it. \
          --replay POLICY:CHIP regenerates exactly one run (same config \
          flags) and prints its JSON. --from-json FILE converts an existing \
-         results JSON to --run-format without re-simulating. In fleet mode \
-         --checkpoint/--resume take a DIRECTORY and require \
-         --shard-checkpoints N (runs per sealed shard; outside fleet mode \
-         it is optional and shards the same way)."
+         results JSON to --run-format without re-simulating."
     );
     std::process::exit(2);
 }
@@ -269,6 +272,10 @@ fn parse_args() -> Args {
         eprintln!("--every requires --checkpoint or --resume");
         usage()
     }
+    if args.every == Some(0) {
+        eprintln!("--every must be at least 1 epoch");
+        usage()
+    }
     if args.shard_runs.is_some() && args.checkpoint_path.is_none() && args.resume_path.is_none() {
         eprintln!("--shard-checkpoints requires --checkpoint DIR or --resume DIR");
         usage()
@@ -291,20 +298,12 @@ fn parse_args() -> Args {
             usage()
         }
     }
-    if args.fleet.is_some() {
-        if args.csv_dir.is_some() || args.json_path.is_some() {
-            eprintln!(
-                "--fleet streams runs without collecting them; --csv/--json need the full \
-                 run vector (use --export-json FILE to opt back into collecting it)"
-            );
-            usage()
-        }
-        if (args.checkpoint_path.is_some() || args.resume_path.is_some())
-            && args.shard_runs.is_none()
-        {
-            eprintln!("fleet checkpoints must shard to stay O(1); add --shard-checkpoints N");
-            usage()
-        }
+    if args.fleet.is_some() && (args.csv_dir.is_some() || args.json_path.is_some()) {
+        eprintln!(
+            "--fleet streams runs without collecting them; --csv/--json need the full \
+             run vector (use --export-json FILE to opt back into collecting it)"
+        );
+        usage()
     }
     args
 }
@@ -405,42 +404,15 @@ fn run_fleet(
         Ok(())
     };
 
-    let delivered = if let Some(path) = args
-        .checkpoint_path
-        .as_deref()
-        .or(args.resume_path.as_deref())
-    {
-        let failpoint = FailPoint::from_env().unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2)
-        });
-        let mut runner = ShardedCheckpointer::new(path)
-            .jobs(args.jobs)
-            .pinning(args.pin)
-            .with_failpoint(failpoint)
-            .shard_runs(args.shard_runs.expect("validated by parse_args"))
-            .with_fleet(Arc::clone(&fleet));
-        if let Some(every) = args.every {
-            runner = runner.every(every);
-        }
-        if let Some(rec) = recorder {
-            runner = runner.with_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
-        }
-        if let Some(progress) = progress {
-            runner = runner.with_progress(progress);
-        }
-        let outcome = if args.resume_path.is_some() {
-            println!("resuming from sharded checkpoint {path}/");
-            runner.resume_streamed(campaign, |_, metrics| sink(metrics))
-        } else {
-            runner.run_streamed(campaign, &args.policies, |_, metrics| sink(metrics))
-        };
-        outcome.unwrap_or_else(|err| {
-            eprintln!("campaign aborted: {err}");
-            eprintln!("progress is saved; rerun with --resume {path}");
-            std::process::exit(1)
-        }) as usize
-    } else {
+    let durable = run_durable(
+        args,
+        campaign,
+        recorder,
+        Some(&fleet),
+        progress.clone(),
+        &mut sink,
+    );
+    let delivered = durable.unwrap_or_else(|| {
         let rec: Arc<dyn Recorder> = match recorder {
             Some(rec) => Arc::clone(rec) as Arc<dyn Recorder>,
             None => Arc::new(hayat_telemetry::NullRecorder),
@@ -458,7 +430,7 @@ fn run_fleet(
                 eprintln!("campaign failed: {err}");
                 std::process::exit(1)
             })
-    };
+    });
 
     if let Some((writer, tmp)) = writer {
         let total = writer.finish().unwrap_or_else(|err| {
@@ -493,6 +465,62 @@ fn run_fleet(
         std::fs::write(path, json).expect("write json");
         println!("full result JSON written to {path}");
     }
+}
+
+/// The durable path of `--checkpoint DIR` and `--resume DIR|V1FILE`, shared
+/// by fleet and collected campaigns: runs the campaign through one
+/// [`ShardedCheckpointer`] and hands every run to `sink` in canonical
+/// order. Returns the number of runs delivered, or `None` when neither flag
+/// is given.
+fn run_durable(
+    args: &Args,
+    campaign: &Campaign,
+    recorder: Option<&Arc<JsonlRecorder>>,
+    fleet: Option<&Arc<Mutex<FleetAccumulator>>>,
+    progress: Option<ProgressOptions>,
+    mut sink: impl FnMut(&RunMetrics) -> Result<(), DynError>,
+) -> Option<usize> {
+    let path = args
+        .checkpoint_path
+        .as_deref()
+        .or(args.resume_path.as_deref())?;
+    let shard_runs = args.shard_runs.unwrap_or(DEFAULT_SHARD_RUNS);
+    let dir = if args.resume_path.is_some() {
+        resume_dir(Path::new(path), shard_runs).unwrap_or_else(|err| {
+            eprintln!("cannot resume from {path}: {err}");
+            std::process::exit(1)
+        })
+    } else {
+        PathBuf::from(path)
+    };
+    let mut runner = ShardedCheckpointer::new(dir)
+        .jobs(args.jobs)
+        .with_failpoint(env_default(FailPoint::from_env))
+        .shard_runs(shard_runs);
+    if let Some(every) = args.every {
+        runner = runner.every(every);
+    }
+    if let Some(rec) = recorder {
+        runner = runner.with_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
+    }
+    if let Some(fleet) = fleet {
+        runner = runner.with_fleet(Arc::clone(fleet));
+    }
+    if let Some(progress) = progress {
+        runner = runner.with_progress(progress);
+    }
+    let outcome = if args.resume_path.is_some() {
+        println!("resuming from checkpoint {path}");
+        runner.resume_streamed(campaign, |_, metrics| sink(metrics))
+    } else {
+        runner.run_streamed(campaign, &args.policies, |_, metrics| sink(metrics))
+    };
+    let delivered = outcome.unwrap_or_else(|err| {
+        eprintln!("campaign aborted: {err}");
+        eprintln!("progress is saved; rerun with --resume {path}");
+        std::process::exit(1)
+    });
+    Some(delivered as usize)
 }
 
 /// Flushes the `--telemetry` stream and prints its summary tables.
@@ -591,68 +619,23 @@ fn main() {
         .fleet_stats_path
         .as_ref()
         .map(|_| Arc::new(Mutex::new(FleetAccumulator::new())));
-    let result = if let Some(path) = args
-        .checkpoint_path
-        .as_deref()
-        .or(args.resume_path.as_deref())
-    {
-        let failpoint = FailPoint::from_env().unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2)
-        });
-        let outcome = if let Some(shard_runs) = args.shard_runs {
-            let mut runner = ShardedCheckpointer::new(path)
-                .jobs(args.jobs)
-                .pinning(args.pin)
-                .with_failpoint(failpoint)
-                .shard_runs(shard_runs);
-            if let Some(every) = args.every {
-                runner = runner.every(every);
-            }
-            if let Some(rec) = &recorder {
-                runner = runner.with_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
-            }
-            if let Some(fleet) = &fleet {
-                runner = runner.with_fleet(Arc::clone(fleet));
-            }
-            if let Some(progress) = progress.clone() {
-                runner = runner.with_progress(progress);
-            }
-            if args.resume_path.is_some() {
-                println!("resuming from sharded checkpoint {path}/");
-                runner.resume(&campaign)
-            } else {
-                runner.run(&campaign, &args.policies)
-            }
-        } else {
-            let mut runner = Checkpointer::new(path)
-                .jobs(args.jobs)
-                .pinning(args.pin)
-                .with_failpoint(failpoint);
-            if let Some(every) = args.every {
-                runner = runner.every(every);
-            }
-            if let Some(rec) = &recorder {
-                runner = runner.with_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
-            }
-            if let Some(fleet) = &fleet {
-                runner = runner.with_fleet(Arc::clone(fleet));
-            }
-            if let Some(progress) = progress.clone() {
-                runner = runner.with_progress(progress);
-            }
-            if args.resume_path.is_some() {
-                println!("resuming from checkpoint {path}");
-                runner.resume(&campaign)
-            } else {
-                runner.run(&campaign, &args.policies)
-            }
-        };
-        outcome.unwrap_or_else(|err| {
-            eprintln!("campaign aborted: {err}");
-            eprintln!("progress is saved; rerun with --resume {path}");
-            std::process::exit(1)
-        })
+    let mut runs = Vec::new();
+    let durable = run_durable(
+        &args,
+        &campaign,
+        recorder.as_ref(),
+        fleet.as_ref(),
+        progress.clone(),
+        |metrics| {
+            runs.push(metrics.clone());
+            Ok(())
+        },
+    );
+    let result = if durable.is_some() {
+        CampaignResult {
+            runs,
+            dark_fraction: campaign.config().dark_fraction,
+        }
     } else {
         let recorder: Arc<dyn Recorder> = match &recorder {
             Some(rec) => Arc::clone(rec) as Arc<dyn Recorder>,

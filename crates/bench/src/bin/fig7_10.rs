@@ -27,11 +27,14 @@
 //! mesh (e.g. `32x32`) to exercise the large-floorplan decision path.
 //!
 //! The default run is long enough to be worth protecting: `--checkpoint
-//! STEM` persists each dark-fraction campaign to `STEM.dark25` /
-//! `STEM.dark50` (atomic writes, every `--every EPOCHS` epochs), and
-//! `--resume STEM` picks the experiment back up — completed campaigns load
-//! instantly, an interrupted one re-enters mid-chip, and a missing file
-//! starts that campaign fresh (still checkpointed).
+//! STEM` persists each dark-fraction campaign to its own checkpoint
+//! directory, `STEM.dark25/` / `STEM.dark50/` (atomic writes, every
+//! `--every EPOCHS` epochs), and `--resume STEM` picks the experiment back
+//! up — completed campaigns load instantly, an interrupted one re-enters
+//! mid-chip, and a directory without a manifest starts that campaign fresh
+//! (still checkpointed). A regular file at `STEM.dark25` is a v1
+//! single-file checkpoint of an earlier build: `--resume` imports it into
+//! `STEM.dark25.shards/` and resumes from there.
 //!
 //! `--fleet-stats STEM` streams every run into mergeable online sketches
 //! and writes one summary per dark fraction (`STEM.dark25.json`,
@@ -42,13 +45,14 @@
 //! parse prints the usage and exits with status 2 before anything runs.
 
 use std::fmt::Display;
+use std::path::Path;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 use hayat::sim::campaign::PolicyKind;
 use hayat::{Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, Pinning, SimulationConfig};
-use hayat_bench::{bar_row, env_default, section};
-use hayat_checkpoint::{Checkpointer, FailPoint};
+use hayat_bench::{bar_row, env_default, resume_dir, section};
+use hayat_checkpoint::{FailPoint, ShardedCheckpointer, DEFAULT_SHARD_RUNS};
 use hayat_telemetry::{JsonlRecorder, NullRecorder, Recorder};
 
 struct Args {
@@ -63,7 +67,7 @@ struct Args {
     /// (STEM.dark25.json, STEM.dark50.json).
     fleet_stem: Option<String>,
     /// `--checkpoint STEM` / `--resume STEM`: each dark-fraction campaign
-    /// persists to its own derived file (STEM.dark25, ...).
+    /// persists to its own derived directory (STEM.dark25/, ...).
     checkpoint_stem: Option<String>,
     resume_stem: Option<String>,
     every: Option<usize>,
@@ -154,6 +158,10 @@ fn parse_args() -> Args {
         eprintln!("--every requires --checkpoint or --resume");
         usage()
     }
+    if args.every == Some(0) {
+        eprintln!("--every must be at least 1 epoch");
+        usage()
+    }
     args
 }
 
@@ -198,9 +206,16 @@ fn main() {
         let stem = checkpoint_stem.as_deref().or(resume_stem.as_deref());
         let result = if let Some(stem) = stem {
             let path = format!("{stem}.dark{}", (dark * 100.0) as u32);
-            let mut runner = Checkpointer::new(&path)
+            let dir = if resume_stem.is_some() {
+                resume_dir(Path::new(&path), DEFAULT_SHARD_RUNS).unwrap_or_else(|err| {
+                    eprintln!("cannot resume from {path}: {err}");
+                    std::process::exit(1)
+                })
+            } else {
+                path.clone().into()
+            };
+            let mut runner = ShardedCheckpointer::new(dir)
                 .jobs(jobs)
-                .pinning(pin)
                 .with_failpoint(Arc::clone(&failpoint));
             if let Some(every) = every {
                 runner = runner.every(every);
@@ -211,9 +226,8 @@ fn main() {
             if let Some(fleet) = &fleet {
                 runner = runner.with_fleet(Arc::clone(fleet));
             }
-            let resumable = resume_stem.is_some() && std::path::Path::new(&path).exists();
-            let outcome = if resumable {
-                println!("(resuming {:.0}% dark campaign from {path})", dark * 100.0);
+            let outcome = if resume_stem.is_some() && runner.has_manifest() {
+                println!("resuming from checkpoint {path}");
                 runner.resume(&campaign)
             } else {
                 runner.run(&campaign, &policies)

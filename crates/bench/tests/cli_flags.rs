@@ -35,6 +35,11 @@ fn fig7_10_rejects_unknown_and_incomplete_flags() {
     assert_rejected(bin, &["quick"], "unknown flag \"quick\"");
     assert_rejected(bin, &["--quick", "--every", "two"], "--every \"two\"");
     assert_rejected(bin, &["--quick", "--every", "2"], "--every requires");
+    assert_rejected(
+        bin,
+        &["--quick", "--checkpoint", "unused", "--every", "0"],
+        "--every must be at least 1 epoch",
+    );
     for removed in [["--schedule", "steal"], ["--search-path", "exhaustive"]] {
         let args = ["--quick", removed[0], removed[1]];
         assert_rejected(bin, &args, &format!("unknown flag {:?}", removed[0]));
@@ -52,6 +57,22 @@ fn campaign_rejects_removed_flags() {
         let args = ["--chips", "1", removed[0], removed[1]];
         assert_rejected(bin, &args, &format!("unknown flag {:?}", removed[0]));
     }
+}
+
+#[test]
+fn campaign_rejects_zero_checkpoint_cadence_and_capacity() {
+    let bin = env!("CARGO_BIN_EXE_campaign");
+    let checkpoint = ["--chips", "1", "--checkpoint", "unused"];
+    assert_rejected(
+        bin,
+        &[&checkpoint[..], &["--every", "0"]].concat(),
+        "--every must be at least 1 epoch",
+    );
+    assert_rejected(
+        bin,
+        &[&checkpoint[..], &["--shard-checkpoints", "0"]].concat(),
+        "--shard-checkpoints must be at least 1",
+    );
 }
 
 #[test]

@@ -1,19 +1,23 @@
-//! The durable campaign state: format, validation, and atomic persistence.
+//! The v1 single-file checkpoint format (read-only: [`crate::ShardedCheckpointer::import_v1`]
+//! migrates it into a checkpoint directory), the in-flight run both formats
+//! share, and the errors of every durable operation.
 
 use crate::failpoint::InjectedFailure;
 use hayat::{EngineSnapshot, PolicyKind, RestoreError, RunMetrics, SimulationConfig};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// The checkpoint format version this build reads and writes. Loading
+/// The single-file checkpoint format version this build reads. Loading
 /// rejects any other version — in particular checkpoints from *newer*
 /// builds, whose fields this build would silently drop.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// A complete, resumable description of campaign progress.
+/// A complete, resumable description of campaign progress in one file —
+/// the v1 format that earlier builds wrote. This build only reads it:
+/// [`ShardedCheckpointer::import_v1`](crate::ShardedCheckpointer::import_v1)
+/// turns it into the tail and manifest of a checkpoint directory.
 ///
 /// The immutable campaign inputs (chip population, thermal predictor,
 /// aging table) are *not* stored: they are deterministically rebuilt from
@@ -24,7 +28,7 @@ pub const FORMAT_VERSION: u32 = 1;
 /// partially-aged engine state to re-enter it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignCheckpoint {
-    /// Format version ([`FORMAT_VERSION`] when written by this build).
+    /// Format version ([`FORMAT_VERSION`] in every file this build reads).
     pub version: u32,
     /// FNV-1a hash of the canonical JSON of the campaign's
     /// [`SimulationConfig`]; resume refuses a mismatch.
@@ -66,7 +70,8 @@ pub enum CheckpointError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// The checkpoint file is not valid checkpoint JSON.
+    /// A checkpoint file is not valid checkpoint JSON, or its contents do
+    /// not fit the campaign (e.g. a run outside its canonical slot).
     Corrupt(String),
     /// The file's format version differs from [`FORMAT_VERSION`] — e.g.
     /// it was written by a newer build of this crate.
@@ -75,6 +80,13 @@ pub enum CheckpointError {
         found: u32,
         /// Version this build supports.
         supported: u32,
+    },
+    /// A v1 import found a manifest already in its target directory; the
+    /// directory holds a checkpoint of its own and is resumed, not
+    /// overwritten.
+    ManifestExists {
+        /// The checkpoint directory.
+        dir: PathBuf,
     },
     /// The checkpoint was written under a different [`SimulationConfig`].
     ConfigMismatch {
@@ -97,7 +109,7 @@ pub enum CheckpointError {
     /// crash-recovery tests drive.
     Injected(InjectedFailure),
     /// A worker thread panicked mid-campaign. The pool shut down cleanly
-    /// and the checkpoint file still holds the last durable state, so the
+    /// and the checkpoint still holds the last durable state, so the
     /// campaign is resumable.
     WorkerPanic {
         /// Policy of the panicking run.
@@ -121,6 +133,9 @@ impl fmt::Display for CheckpointError {
                 "checkpoint format v{found} is not supported (this build \
                  reads v{supported}); it was probably written by a newer build"
             ),
+            CheckpointError::ManifestExists { dir } => {
+                write!(f, "{} already holds a checkpoint manifest", dir.display())
+            }
             CheckpointError::ConfigMismatch { expected, found } => write!(
                 f,
                 "checkpoint was written under a different simulation config \
@@ -191,35 +206,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 impl CampaignCheckpoint {
-    /// An empty checkpoint for a campaign that is about to start.
-    #[must_use]
-    pub fn fresh(config: &SimulationConfig, policies: &[PolicyKind], every_epochs: usize) -> Self {
-        CampaignCheckpoint {
-            version: FORMAT_VERSION,
-            config_hash: config_hash(config),
-            every_epochs,
-            policies: policies.to_vec(),
-            completed: Vec::new(),
-            in_flight: None,
-        }
-    }
-
-    /// Writes the checkpoint *atomically*: serialize to `<path>.tmp` in
-    /// the same directory, fsync, `rename` over `path`, then fsync the
-    /// directory. A crash at any instant leaves either the previous
-    /// checkpoint or the new one — never a torn file.
-    ///
-    /// Returns the number of bytes written.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] when the filesystem refuses.
-    pub fn save(&self, path: &Path) -> Result<u64, CheckpointError> {
-        let json = serde_json::to_string(self).expect("checkpoint structs always serialize");
-        write_atomic(path, json.as_bytes())?;
-        Ok(json.len() as u64)
-    }
-
     /// Loads and structurally validates a checkpoint.
     ///
     /// # Errors
@@ -246,24 +232,6 @@ impl CampaignCheckpoint {
         }
         serde_json::from_str(&text).map_err(|e| CheckpointError::Corrupt(e.to_string()))
     }
-
-    /// Checks this checkpoint against the config of the campaign about to
-    /// resume it.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::ConfigMismatch`] when the campaign was built
-    /// from a different configuration.
-    pub fn validate_config(&self, config: &SimulationConfig) -> Result<(), CheckpointError> {
-        let expected = config_hash(config);
-        if self.config_hash != expected {
-            return Err(CheckpointError::ConfigMismatch {
-                expected,
-                found: self.config_hash,
-            });
-        }
-        Ok(())
-    }
 }
 
 #[derive(Deserialize)]
@@ -271,52 +239,34 @@ struct VersionProbe {
     version: u32,
 }
 
-/// Replaces `path` with `bytes` durably: write `<path>.tmp` in the same
-/// directory, fsync it, `rename` it over `path`, then fsync the directory.
-/// The first fsync keeps a power cut from publishing an empty file under
-/// the new name; the last one makes the rename itself survive.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let io_err = |source| CheckpointError::Io {
-        path: path.to_path_buf(),
-        source,
-    };
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-        file.write_all(bytes).map_err(io_err)?;
-        file.sync_all().map_err(io_err)?;
-    }
-    std::fs::rename(&tmp, path).map_err(io_err)?;
-    let dir = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(dir)
-        .and_then(|dir| dir.sync_all())
-        .map_err(io_err)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample() -> CampaignCheckpoint {
-        let config = SimulationConfig::quick_demo();
-        let mut ckpt = CampaignCheckpoint::fresh(&config, &[PolicyKind::Vaa, PolicyKind::Hayat], 4);
-        // One completed run keeps the fixture realistic without a full sim.
-        ckpt.completed.push(RunMetrics {
-            policy: "VAA".into(),
-            chip_id: 0,
-            dark_fraction: 0.5,
-            ambient_kelvin: 318.15,
-            initial_avg_fmax_ghz: 3.4,
-            initial_chip_fmax_ghz: 3.9,
-            final_health_std: 0.01,
-            epochs: Vec::new(),
-        });
-        ckpt
+        CampaignCheckpoint {
+            version: FORMAT_VERSION,
+            config_hash: config_hash(&SimulationConfig::quick_demo()),
+            every_epochs: 4,
+            policies: vec![PolicyKind::Vaa, PolicyKind::Hayat],
+            // One completed run keeps the fixture realistic without a full sim.
+            completed: vec![RunMetrics {
+                policy: "VAA".into(),
+                chip_id: 0,
+                dark_fraction: 0.5,
+                ambient_kelvin: 318.15,
+                initial_avg_fmax_ghz: 3.4,
+                initial_chip_fmax_ghz: 3.9,
+                final_health_std: 0.01,
+                epochs: Vec::new(),
+            }],
+            in_flight: None,
+        }
+    }
+
+    /// Writes `ckpt` the way earlier builds saved v1 files.
+    fn save(ckpt: &CampaignCheckpoint, path: &Path) {
+        std::fs::write(path, serde_json::to_string(ckpt).unwrap()).unwrap();
     }
 
     #[test]
@@ -333,11 +283,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.ckpt");
         let ckpt = sample();
-        let bytes = ckpt.save(&path).unwrap();
-        assert!(bytes > 0);
+        save(&ckpt, &path);
         assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
-        // No stray tmp file survives a successful save.
-        assert!(!dir.join("campaign.ckpt.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -348,7 +295,7 @@ mod tests {
         let path = dir.join("future.ckpt");
         let mut ckpt = sample();
         ckpt.version = FORMAT_VERSION + 1;
-        ckpt.save(&path).unwrap();
+        save(&ckpt, &path);
         match CampaignCheckpoint::load(&path) {
             Err(CheckpointError::VersionMismatch { found, supported }) => {
                 assert_eq!(found, FORMAT_VERSION + 1);
@@ -397,12 +344,6 @@ mod tests {
         assert_eq!(config_hash(&a), config_hash(&b));
         b.workload_seed ^= 1;
         assert_ne!(config_hash(&a), config_hash(&b));
-        let ckpt = CampaignCheckpoint::fresh(&a, &[PolicyKind::Hayat], 8);
-        assert!(ckpt.validate_config(&a).is_ok());
-        assert!(matches!(
-            ckpt.validate_config(&b),
-            Err(CheckpointError::ConfigMismatch { .. })
-        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fault injection for crash-recovery testing.
 //!
 //! A [`FailPoint`] is armed with a *site name*, a *hit number*, and a
-//! [`FailMode`]; the checkpointed campaign runner consults it at every
+//! [`FailMode`]; the checkpointed campaign driver consults it at every
 //! epoch and chip-run boundary. The Nth time the armed site is checked,
 //! the run errors, panics, or kills the whole process — which is exactly
 //! the battery of failures the checkpoint/resume path has to survive.
@@ -21,7 +21,7 @@ pub enum FailMode {
     Error,
     /// `panic!` at the check site — exercises unwind behaviour. The
     /// campaign executor catches worker panics, so through the
-    /// [`Checkpointer`](crate::Checkpointer) this surfaces as
+    /// [`ShardedCheckpointer`](crate::ShardedCheckpointer) this surfaces as
     /// [`CheckpointError::WorkerPanic`](crate::CheckpointError::WorkerPanic).
     Panic,
     /// Kill the whole process immediately with exit code 137 (the

@@ -1,11 +1,12 @@
-//! Sharded checkpoints: durable campaign progress split across many small
-//! files so write cost stays O(shard), not O(campaign).
+//! The checkpointed campaign driver: durable campaign progress split
+//! across many small files so write cost stays O(shard), not O(campaign).
 //!
-//! The single-file [`CampaignCheckpoint`](crate::CampaignCheckpoint)
-//! rewrites *every* completed run on each save — O(completed runs) of JSON
+//! The v1 single-file [`CampaignCheckpoint`](crate::CampaignCheckpoint)
+//! rewrote *every* completed run on each save — O(completed runs) of JSON
 //! per checkpoint, which at fleet scale (10⁵ runs) turns the durable write
-//! into the campaign bottleneck long before the simulations do. The sharded
-//! layout keeps the same resumability contract with bounded writes:
+//! into the campaign bottleneck long before the simulations do. A
+//! checkpoint directory keeps the same resumability contract with bounded
+//! writes:
 //!
 //! * **Sealed shards** (`shard-00000.json`, `shard-00001.json`, …) — fixed
 //!   runs-per-shard segments of the canonical run order (policy-major, then
@@ -43,21 +44,40 @@
 //! index); anything else is [`CheckpointError::Corrupt`]. No interleaving
 //! loses committed work beyond one shard, and none can drop or
 //! double-count a run.
+//!
+//! A v1 file is never written any more; [`ShardedCheckpointer::import_v1`]
+//! turns one into a directory whose tail holds all of the file's progress,
+//! and resume seals it into shards from there.
 
-use crate::checkpoint::{config_hash, write_atomic, CheckpointError, InFlightRun};
-use crate::failpoint::FailPoint;
-use crate::runner::{DEFAULT_EVERY_EPOCHS, FAILPOINT_CHIP, FAILPOINT_EPOCH};
+use crate::checkpoint::{config_hash, CampaignCheckpoint, CheckpointError, InFlightRun};
+use crate::failpoint::{FailPoint, InjectedFailure};
 use hayat::{
-    Campaign, CampaignResult, DynError, ExecutorOptions, FleetAccumulator, GateSite, InFlightState,
-    Jobs, Pinning, PolicyKind, ProgressOptions, RunDescriptor, RunMetrics, RunUpdate,
+    Campaign, CampaignResult, DynError, ExecutorError, ExecutorOptions, FleetAccumulator, GateSite,
+    InFlightState, Jobs, PolicyKind, ProgressOptions, RestoreError, RunDescriptor, RunMetrics,
+    RunUpdate,
 };
 use hayat_telemetry::{NullRecorder, Recorder, RecorderExt};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// The sharded-checkpoint format version. Like the single-file format,
+/// Default checkpoint cadence: one durable write per this many epochs
+/// (2 simulated years at the paper's 3-month epochs), in addition to the
+/// write at every completed run.
+pub const DEFAULT_EVERY_EPOCHS: usize = 8;
+
+/// Fail-point site checked once per chip×policy job, before the run
+/// starts (arm with `HAYAT_FAILPOINT=campaign.chip:<n>:<mode>`).
+pub const FAILPOINT_CHIP: &str = "campaign.chip";
+
+/// Fail-point site checked once per aging epoch across the whole
+/// campaign, before the epoch runs (arm with
+/// `HAYAT_FAILPOINT=campaign.epoch:<n>:<mode>`).
+pub const FAILPOINT_EPOCH: &str = "campaign.epoch";
+
+/// The checkpoint-directory format version. Like the v1 file format,
 /// loading rejects every other version — in particular manifests from
 /// newer builds.
 pub const SHARD_FORMAT_VERSION: u32 = 1;
@@ -113,6 +133,13 @@ impl ShardStore {
         self.dir.join(format!("shard-{index:05}.json"))
     }
 
+    fn create_dir(&self) -> Result<(), CheckpointError> {
+        std::fs::create_dir_all(&self.dir).map_err(|source| CheckpointError::Io {
+            path: self.dir.clone(),
+            source,
+        })
+    }
+
     /// Serializes `value` to `path` through [`write_atomic`].
     fn save_json<T: Serialize>(&self, path: &Path, value: &T) -> Result<u64, CheckpointError> {
         let json = serde_json::to_string(value).expect("checkpoint structs always serialize");
@@ -130,12 +157,52 @@ impl ShardStore {
     }
 }
 
-/// Drives a [`Campaign`] with sharded durable progress — the fleet-scale
-/// counterpart of [`Checkpointer`](crate::Checkpointer). Same contract
-/// (resume is bit-identical to an uninterrupted run, for any worker count,
-/// through any number of kill/resume cycles), different cost model: each
-/// durable write touches O(shard capacity) bytes instead of O(completed
-/// campaign).
+/// Replaces `path` with `bytes` durably: write `<path>.tmp` in the same
+/// directory, fsync it, `rename` it over `path`, then fsync the directory.
+/// The first fsync keeps a power cut from publishing an empty file under
+/// the new name; the last one makes the rename itself survive.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let io_err = |source| CheckpointError::Io {
+        path: path.to_path_buf(),
+        source,
+    };
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
+        file.write_all(bytes).map_err(io_err)?;
+        file.sync_all().map_err(io_err)?;
+    }
+    std::fs::rename(&tmp, path).map_err(io_err)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)
+        .and_then(|dir| dir.sync_all())
+        .map_err(io_err)
+}
+
+/// Drives a [`Campaign`] with durable progress in a checkpoint directory:
+/// the tail is rewritten every N epochs of the run at the head of the
+/// canonical order and whenever that head advances, and full shards seal
+/// behind it. A crash at *any* instant loses at most the epochs since the
+/// last write, and [`resume`](Self::resume) is bit-identical to an
+/// uninterrupted run, for any worker count, through any number of
+/// kill/resume cycles. Each durable write touches O(shard capacity) bytes,
+/// not O(completed campaign).
+///
+/// Jobs run on the parallel campaign executor ([`Campaign::execute`]),
+/// pinned as the campaign says ([`Campaign::with_pinning`]), but the
+/// checkpointer stays the *single owner* of the directory: workers
+/// publish completed runs back to the owner thread, which merges them into
+/// canonical order before anything is persisted. Only the head run's
+/// snapshots are written, so a crash re-runs the runs that finished ahead
+/// of the head (at most `jobs - 1`). For the same reason, at jobs > 1 the
+/// *number* of tail writes (the `checkpoint.writes` counter) follows the
+/// order in which runs complete; the bytes of every sealed shard, and the
+/// final result, do not.
 ///
 /// # Example
 ///
@@ -169,7 +236,6 @@ pub struct ShardedCheckpointer {
     shard_runs: usize,
     every_epochs: Option<usize>,
     jobs: Jobs,
-    pinning: Pinning,
     recorder: Arc<dyn Recorder>,
     failpoint: Arc<FailPoint>,
     fleet: Option<Arc<Mutex<FleetAccumulator>>>,
@@ -177,8 +243,10 @@ pub struct ShardedCheckpointer {
 }
 
 impl ShardedCheckpointer {
-    /// A sharded checkpointer writing into directory `dir` (created on
-    /// first run) with default cadence and shard capacity.
+    /// A checkpointer writing into directory `dir` (created on first run)
+    /// with the default cadence ([`DEFAULT_EVERY_EPOCHS`]) and shard
+    /// capacity ([`DEFAULT_SHARD_RUNS`]), all hardware threads, no
+    /// telemetry, and fault injection disarmed.
     #[must_use]
     pub fn new(dir: impl AsRef<Path>) -> Self {
         ShardedCheckpointer {
@@ -188,7 +256,6 @@ impl ShardedCheckpointer {
             shard_runs: DEFAULT_SHARD_RUNS,
             every_epochs: None,
             jobs: Jobs::auto(),
-            pinning: Pinning::default(),
             recorder: Arc::new(NullRecorder),
             failpoint: Arc::new(FailPoint::disarmed()),
             fleet: None,
@@ -196,7 +263,8 @@ impl ShardedCheckpointer {
         }
     }
 
-    /// Sets the runs-per-shard capacity.
+    /// Sets the runs-per-shard capacity of a fresh run or a v1 import. A
+    /// resumed directory keeps the capacity its manifest records.
     ///
     /// # Panics
     ///
@@ -208,24 +276,18 @@ impl ShardedCheckpointer {
         self
     }
 
-    /// Sets the worker-thread count; see
-    /// [`Checkpointer::jobs`](crate::Checkpointer::jobs).
+    /// Sets the worker-thread count (default: all hardware threads). The
+    /// result, and every sealed shard, are identical for every worker
+    /// count.
     #[must_use]
     pub const fn jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
         self
     }
 
-    /// Sets worker core pinning; see
-    /// [`Checkpointer::pinning`](crate::Checkpointer::pinning).
-    #[must_use]
-    pub const fn pinning(mut self, pinning: Pinning) -> Self {
-        self.pinning = pinning;
-        self
-    }
-
-    /// Sets the checkpoint cadence in epochs; see
-    /// [`Checkpointer::every`](crate::Checkpointer::every).
+    /// Sets the checkpoint cadence in epochs (plus the write whenever the
+    /// head run completes). On [`resume`](Self::resume) an explicit cadence
+    /// overrides the one stored in the manifest.
     ///
     /// # Panics
     ///
@@ -237,16 +299,22 @@ impl ShardedCheckpointer {
         self
     }
 
-    /// Attaches a telemetry sink (same signals as the single-file
-    /// checkpointer, plus a `checkpoint.shards_sealed` counter).
+    /// Attaches a telemetry sink. The checkpointer emits `checkpoint.write`
+    /// spans, `checkpoint.writes` / `checkpoint.bytes_written` /
+    /// `checkpoint.shards_sealed` counters, a `campaign.resume` span, and
+    /// `campaign.runs_skipped` / `campaign.epochs_skipped` counters on
+    /// resume — on top of everything the engines and policies emit.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
         self
     }
 
-    /// Arms fault injection at the [`FAILPOINT_CHIP`] / [`FAILPOINT_EPOCH`]
-    /// sites.
+    /// Arms fault injection (see [`FailPoint`]) at the [`FAILPOINT_CHIP`] /
+    /// [`FAILPOINT_EPOCH`] sites. Accepts a bare [`FailPoint`] or an
+    /// `Arc<FailPoint>` — pass a shared `Arc` to keep one hit count across
+    /// several checkpointers (e.g. `fig7_10`'s two dark-fraction
+    /// campaigns).
     #[must_use]
     pub fn with_failpoint(mut self, failpoint: impl Into<Arc<FailPoint>>) -> Self {
         self.failpoint = failpoint.into();
@@ -328,10 +396,7 @@ impl ShardedCheckpointer {
         sink: impl FnMut(usize, &RunMetrics) -> Result<(), DynError>,
     ) -> Result<u64, CheckpointError> {
         let every = self.every_epochs.unwrap_or(DEFAULT_EVERY_EPOCHS);
-        std::fs::create_dir_all(&self.store.dir).map_err(|source| CheckpointError::Io {
-            path: self.store.dir.clone(),
-            source,
-        })?;
+        self.store.create_dir()?;
         let manifest = ShardManifest {
             version: SHARD_FORMAT_VERSION,
             config_hash: config_hash(campaign.config()),
@@ -348,6 +413,55 @@ impl ShardedCheckpointer {
         self.store
             .save_json(&self.store.manifest_path(), &manifest)?;
         self.drive(campaign, &campaign.grid(policies), manifest, tail, 0, sink)
+    }
+
+    /// Migrates a v1 single-file checkpoint into this checkpointer's
+    /// directory, after which [`resume`](Self::resume) continues it. The
+    /// file's completed runs and in-flight run become the tail; the
+    /// manifest takes the file's config hash, cadence and policies, this
+    /// checkpointer's shard capacity, and no sealed shards. The manifest
+    /// is written last — it is the commit point, so an import cut short
+    /// leaves no manifest and can simply be repeated. The file itself is
+    /// only read.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`CampaignCheckpoint::load`] reports for the file,
+    /// [`CheckpointError::ManifestExists`] when the directory already
+    /// holds a manifest (it is a checkpoint of its own: resume it), and
+    /// [`CheckpointError::Io`] when a write fails.
+    pub fn import_v1(&self, file: impl AsRef<Path>) -> Result<(), CheckpointError> {
+        if self.has_manifest() {
+            return Err(CheckpointError::ManifestExists {
+                dir: self.store.dir.clone(),
+            });
+        }
+        let v1 = CampaignCheckpoint::load(file.as_ref())?;
+        self.store.create_dir()?;
+        let tail = ShardTail {
+            completed: v1.completed,
+            in_flight: v1.in_flight,
+        };
+        self.store.save_json(&self.store.tail_path(), &tail)?;
+        let manifest = ShardManifest {
+            version: SHARD_FORMAT_VERSION,
+            config_hash: v1.config_hash,
+            every_epochs: v1.every_epochs,
+            policies: v1.policies,
+            shard_runs: self.shard_runs,
+            sealed: 0,
+        };
+        self.store
+            .save_json(&self.store.manifest_path(), &manifest)?;
+        Ok(())
+    }
+
+    /// Whether the directory holds a manifest: a committed checkpoint that
+    /// [`resume`](Self::resume) continues and
+    /// [`import_v1`](Self::import_v1) leaves alone.
+    #[must_use]
+    pub fn has_manifest(&self) -> bool {
+        self.store.manifest_path().exists()
     }
 
     /// Resumes a sharded campaign: the sealed shards are replayed to `sink`
@@ -415,7 +529,10 @@ impl ShardedCheckpointer {
         }
         let tail: ShardTail = self.store.load_json(&self.store.tail_path())?;
         if !tail_fits(&grid, base, &tail) {
-            if !tail_fits(&grid, base + capacity, &tail) {
+            // A hostile capacity can make the next shard's start overflow;
+            // no tail fits there.
+            let past_seal = base.checked_add(capacity);
+            if !past_seal.is_some_and(|start| tail_fits(&grid, start, &tail)) {
                 return Err(CheckpointError::Corrupt(format!(
                     "tail does not continue the {} sealed shards in the \
                      campaign's job order",
@@ -520,7 +637,7 @@ impl ShardedCheckpointer {
         };
         let options = ExecutorOptions {
             jobs: self.jobs,
-            pinning: self.pinning,
+            pinning: campaign.pinning(),
             snapshot_every: Some(manifest.every_epochs.max(1)),
             gate: Some(&gate),
             progress: self.progress.clone(),
@@ -584,7 +701,7 @@ impl ShardedCheckpointer {
             },
         );
         if let Err(error) = outcome {
-            return Err(crate::runner::checkpoint_error(error));
+            return Err(checkpoint_error(error));
         }
         debug_assert_eq!(done, grid.len());
         Ok(done as u64)
@@ -629,14 +746,46 @@ fn fills_slots(grid: &[RunDescriptor], start: usize, runs: &[RunMetrics]) -> boo
 }
 
 /// Whether `tail`'s completed runs, then its in-flight run, occupy the
-/// canonical slots from `start` on.
+/// canonical slots from `start` on. The in-flight slot is computed only
+/// once the completed runs fit, which bounds it by the grid's length.
 fn tail_fits(grid: &[RunDescriptor], start: usize, tail: &ShardTail) -> bool {
-    let next = start + tail.completed.len();
     fills_slots(grid, start, &tail.completed)
         && tail.in_flight.as_ref().is_none_or(|run| {
-            grid.get(next)
+            grid.get(start + tail.completed.len())
                 .is_some_and(|slot| slot.kind == run.policy && slot.chip == run.chip)
         })
+}
+
+/// Translates executor failures back into checkpoint errors: worker panics
+/// map to [`CheckpointError::WorkerPanic`], and boxed gate/sink errors are
+/// downcast back to the concrete types this crate fed in (checkpoint-write,
+/// injected-fault, and in-flight-restore errors).
+fn checkpoint_error(error: ExecutorError) -> CheckpointError {
+    match error {
+        ExecutorError::WorkerPanic {
+            kind,
+            chip,
+            message,
+        } => CheckpointError::WorkerPanic {
+            policy: kind,
+            chip,
+            message,
+        },
+        ExecutorError::RunAborted { source, .. } | ExecutorError::SinkAborted { source } => {
+            let source = match source.downcast::<CheckpointError>() {
+                Ok(concrete) => return *concrete,
+                Err(source) => source,
+            };
+            let source = match source.downcast::<InjectedFailure>() {
+                Ok(concrete) => return CheckpointError::Injected(*concrete),
+                Err(source) => source,
+            };
+            match source.downcast::<RestoreError>() {
+                Ok(concrete) => CheckpointError::Restore(*concrete),
+                Err(source) => CheckpointError::Corrupt(format!("campaign aborted: {source}")),
+            }
+        }
+    }
 }
 
 /// Wraps a sink failure that is not already a checkpoint error.
@@ -951,6 +1100,111 @@ mod tests {
         assert_eq!(summary.counter_total("checkpoint.shards_sealed"), None);
         assert_eq!(summary.counter_total("checkpoint.writes"), None);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_hostile_shard_capacity_is_corrupt_not_an_overflow() {
+        // At a capacity of usize::MAX the shard after the sealed ones would
+        // start past the end of the address space; the tail cannot sit
+        // there, and resume must say so instead of overflowing.
+        let campaign = tiny_campaign(5);
+        let dir = temp_dir("hostile_capacity");
+        ShardedCheckpointer::new(&dir)
+            .shard_runs(2)
+            .run(&campaign, &[PolicyKind::Hayat])
+            .unwrap();
+        let path = dir.join("manifest.json");
+        let mut manifest: ShardManifest = read_json(&path);
+        manifest.shard_runs = usize::MAX;
+        manifest.sealed = 0;
+        write_json(&path, &manifest);
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .contains("\"shard_runs\":18446744073709551615"));
+        assert!(matches!(
+            ShardedCheckpointer::new(&dir).resume(&campaign),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_durable_files_are_typed_errors() {
+        // Every strict prefix of every durable file — the manifest, the
+        // tail and a sealed shard of a finished directory, and a v1 file
+        // on import — must be rejected with an error, never a panic.
+        let campaign = tiny_campaign(5);
+        let dir = temp_dir("truncated");
+        ShardedCheckpointer::new(&dir)
+            .shard_runs(2)
+            .run(&campaign, &[PolicyKind::Hayat])
+            .unwrap();
+        let rejected = |outcome: Result<_, CheckpointError>| {
+            matches!(
+                outcome,
+                Err(CheckpointError::Corrupt(_) | CheckpointError::Io { .. })
+            )
+        };
+        for name in ["manifest.json", "tail.json", "shard-00000.json"] {
+            let path = dir.join(name);
+            let bytes = std::fs::read(&path).unwrap();
+            for len in 0..bytes.len() {
+                std::fs::write(&path, &bytes[..len]).unwrap();
+                let outcome = ShardedCheckpointer::new(&dir).resume(&campaign);
+                assert!(rejected(outcome.map(drop)), "{name} cut to {len} bytes");
+            }
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        assert!(ShardedCheckpointer::new(&dir).resume(&campaign).is_ok());
+
+        let v1 = v1_file_with_a_run_in_flight(&dir.join("v1_source"));
+        let file = dir.join("v1.ckpt");
+        let importer = ShardedCheckpointer::new(dir.join("imported"));
+        for len in 0..v1.len() {
+            std::fs::write(&file, &v1[..len]).unwrap();
+            assert!(
+                rejected(importer.import_v1(&file)),
+                "v1 file cut to {len} bytes"
+            );
+        }
+        assert!(!importer.has_manifest(), "a failed import commits nothing");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bytes of a v1 file holding one completed run and one in flight,
+    /// assembled from a campaign interrupted in `scratch` (a 4×4 die keeps
+    /// the engine snapshot small).
+    fn v1_file_with_a_run_in_flight(scratch: &Path) -> Vec<u8> {
+        let mut config = SimulationConfig::quick_demo();
+        config.mesh = (4, 4);
+        config.years = 0.5;
+        config.epoch_years = 0.25;
+        config.transient_window_seconds = 0.05;
+        let campaign = Campaign::new(config).unwrap();
+        // Two epochs per run: the fourth epoch gate is chip 1's second.
+        let interrupted = ShardedCheckpointer::new(scratch)
+            .every(1)
+            .jobs(Jobs::serial())
+            .with_failpoint(FailPoint::armed(
+                FAILPOINT_EPOCH,
+                4,
+                crate::failpoint::FailMode::Error,
+            ))
+            .run(&campaign, &[PolicyKind::Hayat]);
+        assert!(matches!(interrupted, Err(CheckpointError::Injected(_))));
+        let manifest: ShardManifest = read_json(&scratch.join("manifest.json"));
+        let tail: ShardTail = read_json(&scratch.join("tail.json"));
+        assert_eq!(tail.completed.len(), 1);
+        assert!(tail.in_flight.is_some());
+        let v1 = CampaignCheckpoint {
+            version: crate::FORMAT_VERSION,
+            config_hash: manifest.config_hash,
+            every_epochs: manifest.every_epochs,
+            policies: manifest.policies,
+            completed: tail.completed,
+            in_flight: tail.in_flight,
+        };
+        serde_json::to_string(&v1).unwrap().into_bytes()
     }
 
     #[test]

@@ -219,38 +219,20 @@ impl Campaign {
     /// (policy-major, then chip index) regardless of scheduling.
     #[must_use]
     pub fn run(&self, policies: &[PolicyKind]) -> CampaignResult {
-        self.run_with_jobs(policies, Jobs::auto())
+        unwrap_campaign(self.try_run(policies, Jobs::auto(), Arc::new(NullRecorder)))
     }
 
-    /// [`run`](Self::run) with an explicit worker count (`--jobs`). Output
-    /// is byte-identical for every `jobs` value, including serial.
-    #[must_use]
-    pub fn run_with_jobs(&self, policies: &[PolicyKind], jobs: Jobs) -> CampaignResult {
-        unwrap_campaign(self.try_run(policies, jobs, Arc::new(NullRecorder)))
-    }
-
-    /// [`run`](Self::run) with campaign telemetry: one `campaign.worker`
-    /// span per pool thread, a `campaign.jobs` gauge, one `campaign.chip`
-    /// span per chip×policy job, plus everything the per-run engines emit
-    /// (epoch spans, decision latencies, DTM counters, thermal-solver
-    /// statistics).
+    /// The fallible core of [`run`](Self::run), with an explicit worker
+    /// count (`--jobs`; output is byte-identical for every value, including
+    /// serial) and campaign telemetry: one `campaign.worker` span per pool
+    /// thread, a `campaign.jobs` gauge, one `campaign.chip` span per
+    /// chip×policy job, plus everything the per-run engines emit (epoch
+    /// spans, decision latencies, DTM counters, thermal-solver statistics).
     ///
     /// Each worker buffers into its own recorder; the buffers are replayed
     /// into `recorder` in worker order after the pool joins, so the recorded
     /// stream is deterministic too and the simulations never contend on the
     /// sink.
-    #[must_use]
-    pub fn run_with_recorder(
-        &self,
-        policies: &[PolicyKind],
-        recorder: Arc<dyn Recorder>,
-    ) -> CampaignResult {
-        unwrap_campaign(self.try_run(policies, Jobs::auto(), recorder))
-    }
-
-    /// The fallible core of [`run`](Self::run): executes the campaign grid
-    /// on [`Campaign::execute`] and merges completed runs back into
-    /// canonical order.
     ///
     /// # Errors
     ///
@@ -268,7 +250,8 @@ impl Campaign {
     /// [`try_run`](Self::try_run) with the fleet observability hooks: an
     /// optional streaming [`FleetAccumulator`] fed every completed run at
     /// the canonical-order merge point (so its summary is byte-identical
-    /// for any `jobs`), and optional live [`ProgressOptions`] frames.
+    /// for any `jobs`), and optional live [`ProgressOptions`] frames. The
+    /// runs are collected from [`stream_runs`](Self::stream_runs).
     ///
     /// # Errors
     ///
@@ -281,31 +264,13 @@ impl Campaign {
         fleet: Option<&Mutex<FleetAccumulator>>,
         progress: Option<ProgressOptions>,
     ) -> Result<CampaignResult, ExecutorError> {
-        let descriptors = self.grid(policies);
-        let mut runs: Vec<Option<RunMetrics>> = (0..descriptors.len()).map(|_| None).collect();
-        let options = ExecutorOptions {
-            jobs,
-            pinning: self.pinning,
-            progress,
-            ..ExecutorOptions::default()
-        };
-        self.execute(&descriptors, None, &options, &recorder, |update| {
-            if let RunUpdate::Completed { index, metrics } = update {
-                if let Some(fleet) = fleet {
-                    fleet
-                        .lock()
-                        .expect("fleet accumulator lock")
-                        .observe_completed(index, &metrics);
-                }
-                runs[index] = Some(*metrics);
-            }
+        let mut runs = Vec::with_capacity(policies.len() * self.chip_count());
+        self.stream_runs(policies, jobs, recorder, fleet, progress, |_, metrics| {
+            runs.push(metrics);
             Ok(())
         })?;
         Ok(CampaignResult {
-            runs: runs
-                .into_iter()
-                .map(|r| r.expect("every job ran"))
-                .collect(),
+            runs,
             dark_fraction: self.config.dark_fraction,
         })
     }
@@ -377,26 +342,9 @@ impl Campaign {
     /// Panics if `chip_index` is out of range.
     #[must_use]
     pub fn run_one(&self, kind: PolicyKind, chip_index: usize) -> RunMetrics {
-        self.run_one_with_recorder(kind, chip_index, Arc::new(NullRecorder))
-    }
-
-    /// [`run_one`](Self::run_one) with the engine wired to a telemetry sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip_index` is out of range.
-    #[must_use]
-    pub fn run_one_with_recorder(
-        &self,
-        kind: PolicyKind,
-        chip_index: usize,
-        recorder: Arc<dyn Recorder>,
-    ) -> RunMetrics {
         let system = self.system_for(chip_index);
         let policy = kind.instantiate(self.config.workload_seed ^ chip_index as u64);
-        let mut engine =
-            SimulationEngine::new(system, policy, &self.config).with_recorder(recorder);
-        engine.run()
+        SimulationEngine::new(system, policy, &self.config).run()
     }
 }
 
@@ -580,7 +528,9 @@ mod tests {
         let c = tiny_campaign();
         let plain = c.run(&[PolicyKind::Hayat]);
         let rec = Arc::new(hayat_telemetry::MemoryRecorder::new());
-        let recorded = c.run_with_recorder(&[PolicyKind::Hayat], rec.clone());
+        let recorded = c
+            .try_run(&[PolicyKind::Hayat], Jobs::auto(), rec.clone())
+            .unwrap();
         assert_eq!(plain, recorded, "telemetry must be a pure observer");
         let s = rec.summary();
         assert_eq!(s.counter_total("campaign.runs_completed"), Some(2));
@@ -593,11 +543,14 @@ mod tests {
         // `--batch` is a pure execution knob: lockstep lanes preserve every
         // chip's FP op order, so any width must reproduce the serial bytes.
         let policies = [PolicyKind::Vaa, PolicyKind::Hayat];
-        let serial = tiny_campaign().run_with_jobs(&policies, Jobs::serial());
+        let run = |campaign: Campaign| {
+            campaign
+                .try_run(&policies, Jobs::serial(), Arc::new(NullRecorder))
+                .unwrap()
+        };
+        let serial = run(tiny_campaign());
         for width in [2, 3, 64] {
-            let batched = tiny_campaign()
-                .with_batch(Batch::new(width).unwrap())
-                .run_with_jobs(&policies, Jobs::serial());
+            let batched = run(tiny_campaign().with_batch(Batch::new(width).unwrap()));
             assert_eq!(serial, batched, "batch width {width} drifted");
         }
     }
@@ -606,7 +559,9 @@ mod tests {
     fn stream_runs_delivers_canonical_order_without_collecting() {
         let c = tiny_campaign();
         let policies = [PolicyKind::Vaa, PolicyKind::Hayat];
-        let collected = c.run_with_jobs(&policies, Jobs::serial());
+        let collected = c
+            .try_run(&policies, Jobs::serial(), Arc::new(NullRecorder))
+            .unwrap();
         let mut streamed = Vec::new();
         let delivered = c
             .stream_runs(

@@ -18,9 +18,9 @@
 //!   per-chip thermal path and span shape.
 //! * **Owner-thread merge** — workers publish [`RunUpdate`]s over a channel
 //!   to the *calling* thread, which owns the single mutable sink (the
-//!   in-memory result vector, or the [`Checkpointer`] in
-//!   `hayat-checkpoint`). All result mutation and checkpoint I/O stays
-//!   single-threaded by construction.
+//!   canonical-order reorder buffer of [`Campaign::stream_runs`], or the
+//!   [`ShardedCheckpointer`] in `hayat-checkpoint`). All result mutation
+//!   and checkpoint I/O stays single-threaded by construction.
 //! * **Determinism** — each run is seeded and single-threaded internally, and
 //!   results are indexed by canonical grid position (policy-major, then chip
 //!   index), so campaign output is byte-identical for any worker count.
@@ -33,7 +33,7 @@
 //!   and the panic surfaces as [`ExecutorError::WorkerPanic`] instead of a
 //!   hang or abort.
 //!
-//! [`Checkpointer`]: ../../../hayat_checkpoint/struct.Checkpointer.html
+//! [`ShardedCheckpointer`]: ../../../hayat_checkpoint/struct.ShardedCheckpointer.html
 
 use crate::metrics::RunMetrics;
 use crate::sim::batch::ChipBatch;
@@ -313,8 +313,9 @@ impl Campaign {
     /// Runs `descriptors` on a scoped worker pool and feeds every
     /// [`RunUpdate`] to `sink` on the calling thread, in completion order.
     ///
-    /// This is the engine under [`Campaign::run`] and the checkpointer's
-    /// `run_checkpointed`; call it directly only to build a custom driver.
+    /// This is the engine under [`Campaign::stream_runs`] and the
+    /// checkpointer's `run_streamed`; call it directly only to build a
+    /// custom driver.
     /// `in_flight` resumes one partially completed descriptor from an engine
     /// snapshot. The sink may return an error to abort the campaign (workers
     /// abandon their runs at the next epoch boundary).

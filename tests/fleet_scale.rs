@@ -53,7 +53,9 @@ fn runfmt_bytes_are_identical_for_any_job_count() {
 fn streamed_runfmt_decodes_to_the_collected_campaign() {
     let policies = [PolicyKind::Vaa, PolicyKind::Hayat];
     let campaign = Campaign::new(tiny_config(2)).unwrap();
-    let collected = campaign.run_with_jobs(&policies, Jobs::serial());
+    let collected = campaign
+        .try_run(&policies, Jobs::serial(), Arc::new(NullRecorder))
+        .unwrap();
 
     let bytes = encode_streamed(&campaign, &policies, Jobs::auto());
     let reader = RunFileReader::new(bytes.as_slice()).unwrap();
@@ -83,7 +85,7 @@ fn spot_replay_reproduces_one_run_from_the_streamed_file() {
 fn compact_format_is_smaller_than_json() {
     let policies = [PolicyKind::Vaa, PolicyKind::Hayat];
     let campaign = Campaign::new(tiny_config(3)).unwrap();
-    let collected = campaign.run_with_jobs(&policies, Jobs::auto());
+    let collected = campaign.run(&policies);
     let json = serde_json::to_string_pretty(&collected).unwrap();
     let bytes = encode_streamed(&campaign, &policies, Jobs::auto());
     assert!(

@@ -6,8 +6,7 @@
 use hayat::sim::campaign::PolicyKind;
 use hayat::{Batch, Campaign, Jobs, SimulationConfig, SimulationEngine};
 use hayat_checkpoint::{
-    CampaignCheckpointExt, CheckpointError, Checkpointer, FailMode, FailPoint, FAILPOINT_CHIP,
-    FAILPOINT_EPOCH,
+    CheckpointError, FailMode, FailPoint, ShardedCheckpointer, FAILPOINT_CHIP, FAILPOINT_EPOCH,
 };
 use hayat_telemetry::MemoryRecorder;
 use proptest::prelude::*;
@@ -23,10 +22,11 @@ fn tiny_config(dark_fraction: f64) -> SimulationConfig {
     config
 }
 
-/// A unique scratch path per test (the OS temp dir survives sandboxes).
+/// A unique scratch checkpoint directory per test (the OS temp dir
+/// survives sandboxes).
 fn scratch(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("hayat_ckpt_{name}_{}", std::process::id()));
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
     path
 }
 
@@ -39,7 +39,7 @@ fn killed_and_resumed_matches_uninterrupted_for_all_policies_and_dark_fractions(
             let path = scratch(&format!("kill_{dark}_{}", kind.name()));
 
             // Fault mid-chip: epoch 3 of 8 total (chip 0's fourth epoch).
-            let interrupted = Checkpointer::new(&path)
+            let interrupted = ShardedCheckpointer::new(&path)
                 .every(1)
                 .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 3, FailMode::Error))
                 .run(&campaign, &[kind]);
@@ -48,14 +48,14 @@ fn killed_and_resumed_matches_uninterrupted_for_all_policies_and_dark_fractions(
                 "the armed fail point must abort the campaign"
             );
 
-            let resumed = Checkpointer::new(&path).resume(&campaign).unwrap();
+            let resumed = ShardedCheckpointer::new(&path).resume(&campaign).unwrap();
             assert_eq!(
                 resumed,
                 uninterrupted,
                 "resumed campaign must be bit-identical ({} at dark {dark})",
                 kind.name()
             );
-            std::fs::remove_file(&path).ok();
+            std::fs::remove_dir_all(&path).ok();
         }
     }
 }
@@ -73,14 +73,14 @@ fn crash_at_chip_boundary_skips_completed_runs_verbatim() {
     // making the skipped-run count scheduling-dependent. The resume is
     // serial for the same reason: with two workers, how many checkpoint
     // writes it makes depends on which of the last two runs finishes first.
-    let interrupted = Checkpointer::new(&path)
+    let interrupted = ShardedCheckpointer::new(&path)
         .jobs(Jobs::serial())
         .with_failpoint(FailPoint::armed(FAILPOINT_CHIP, 3, FailMode::Error))
         .run(&campaign, &policies);
     assert!(interrupted.is_err());
 
     let recorder = Arc::new(MemoryRecorder::new());
-    let resumed = Checkpointer::new(&path)
+    let resumed = ShardedCheckpointer::new(&path)
         .jobs(Jobs::serial())
         .with_recorder(recorder.clone())
         .resume(&campaign)
@@ -96,7 +96,7 @@ fn crash_at_chip_boundary_skips_completed_runs_verbatim() {
     assert_eq!(summary.counter_total("campaign.runs_completed"), Some(2));
     assert_eq!(summary.span("campaign.resume").map(|s| s.count), Some(1));
     assert!(summary.counter_total("checkpoint.writes").unwrap_or(0) >= 2);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]
@@ -107,20 +107,20 @@ fn repeated_crash_resume_cycles_compose() {
     let path = scratch("repeated");
 
     // Crash twice at different points, resuming in between; hit counters
-    // are per-Checkpointer, so each cycle's fault lands further along.
-    assert!(Checkpointer::new(&path)
+    // are per-checkpointer, so each cycle's fault lands further along.
+    assert!(ShardedCheckpointer::new(&path)
         .every(1)
         .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 2, FailMode::Error))
         .run(&campaign, &policies)
         .is_err());
-    assert!(Checkpointer::new(&path)
+    assert!(ShardedCheckpointer::new(&path)
         .every(1)
         .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 4, FailMode::Error))
         .resume(&campaign)
         .is_err());
-    let resumed = campaign.resume(&path).unwrap();
+    let resumed = ShardedCheckpointer::new(&path).resume(&campaign).unwrap();
     assert_eq!(resumed, uninterrupted);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]
@@ -133,7 +133,7 @@ fn panic_mid_campaign_leaves_a_resumable_checkpoint() {
     // instead of unwinding (or hanging the pool) — the other assertion of
     // the `worker panics are captured` contract lives in
     // `tests/parallel_campaign.rs` at the executor level.
-    let panicked = Checkpointer::new(&path)
+    let panicked = ShardedCheckpointer::new(&path)
         .every(1)
         .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 5, FailMode::Panic))
         .run(&campaign, &[PolicyKind::Hayat]);
@@ -147,9 +147,9 @@ fn panic_mid_campaign_leaves_a_resumable_checkpoint() {
         other => panic!("expected a captured WorkerPanic, got {other:?}"),
     }
 
-    let resumed = campaign.resume(&path).unwrap();
+    let resumed = ShardedCheckpointer::new(&path).resume(&campaign).unwrap();
     assert_eq!(resumed, uninterrupted);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]
@@ -159,14 +159,14 @@ fn parallel_checkpointed_run_matches_serial_and_uncheckpointed() {
     let plain = campaign.run(&policies);
 
     let serial_path = scratch("jobs_serial");
-    let serial = Checkpointer::new(&serial_path)
+    let serial = ShardedCheckpointer::new(&serial_path)
         .every(1)
         .jobs(Jobs::serial())
         .run(&campaign, &policies)
         .unwrap();
 
     let parallel_path = scratch("jobs_parallel");
-    let parallel = Checkpointer::new(&parallel_path)
+    let parallel = ShardedCheckpointer::new(&parallel_path)
         .every(1)
         .jobs(Jobs::new(4).unwrap())
         .run(&campaign, &policies)
@@ -180,8 +180,8 @@ fn parallel_checkpointed_run_matches_serial_and_uncheckpointed() {
         serde_json::to_string(&parallel).unwrap(),
         serde_json::to_string(&serial).unwrap()
     );
-    std::fs::remove_file(&serial_path).ok();
-    std::fs::remove_file(&parallel_path).ok();
+    std::fs::remove_dir_all(&serial_path).ok();
+    std::fs::remove_dir_all(&parallel_path).ok();
 }
 
 #[test]
@@ -204,7 +204,7 @@ fn checkpoint_resumes_byte_identical_across_jobs_and_batch_changes() {
         let path = scratch(&format!(
             "jobs_batch_{from_jobs}x{from_batch}_{to_jobs}x{to_batch}"
         ));
-        let interrupted = Checkpointer::new(&path)
+        let interrupted = ShardedCheckpointer::new(&path)
             .every(1)
             .jobs(Jobs::new(from_jobs).unwrap())
             .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 5, FailMode::Error))
@@ -214,7 +214,7 @@ fn checkpoint_resumes_byte_identical_across_jobs_and_batch_changes() {
             "the armed fail point must abort the jobs {from_jobs} x batch {from_batch} campaign"
         );
 
-        let resumed = Checkpointer::new(&path)
+        let resumed = ShardedCheckpointer::new(&path)
             .jobs(Jobs::new(to_jobs).unwrap())
             .resume(&campaign(to_batch))
             .unwrap();
@@ -227,7 +227,7 @@ fn checkpoint_resumes_byte_identical_across_jobs_and_batch_changes() {
             serde_json::to_string(&resumed).unwrap(),
             serde_json::to_string(&uninterrupted).unwrap()
         );
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&path).ok();
     }
 }
 
@@ -237,27 +237,27 @@ fn resume_rejects_a_checkpoint_from_a_different_config() {
     let half = Campaign::new(tiny_config(0.5)).unwrap();
     let path = scratch("mismatch");
 
-    quarter
-        .run_checkpointed(&[PolicyKind::Hayat], &path)
+    ShardedCheckpointer::new(&path)
+        .run(&quarter, &[PolicyKind::Hayat])
         .unwrap();
-    let err = half.resume(&path).unwrap_err();
+    let err = ShardedCheckpointer::new(&path).resume(&half).unwrap_err();
     assert!(
         matches!(err, CheckpointError::ConfigMismatch { .. }),
         "got {err}"
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]
 fn completed_checkpoint_resumes_instantly_without_rerunning() {
     let campaign = Campaign::new(tiny_config(0.5)).unwrap();
     let path = scratch("instant");
-    let first = campaign
-        .run_checkpointed(&[PolicyKind::CoolestFirst], &path)
+    let first = ShardedCheckpointer::new(&path)
+        .run(&campaign, &[PolicyKind::CoolestFirst])
         .unwrap();
 
     let recorder = Arc::new(MemoryRecorder::new());
-    let resumed = Checkpointer::new(&path)
+    let resumed = ShardedCheckpointer::new(&path)
         .with_recorder(recorder.clone())
         .resume(&campaign)
         .unwrap();
@@ -267,7 +267,7 @@ fn completed_checkpoint_resumes_instantly_without_rerunning() {
         None,
         "a finished campaign must not re-run anything"
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
 /// The cross-version regression gate for the decision-path fast kernels.
@@ -276,12 +276,14 @@ fn completed_checkpoint_resumes_instantly_without_rerunning() {
 /// produced by the code *before* the flattened aging table, the direct
 /// age-curve inversion, the fused superposition scans, and the policy
 /// scratch landed — when every policy decision still ran the bisection
-/// oracle. The checkpoint holds a half-finished decade campaign (both VAA
-/// runs durable, Hayat chip 0 in flight); the reference is the full
-/// uninterrupted campaign's `--json` export at `--jobs 1`. Resuming that
-/// checkpoint with today's decision path (the age-curve inversion, the
-/// dense DCM scan and stage 2's pruning) must complete the campaign and
-/// reproduce the pre-refactor export byte for byte.
+/// oracle. The checkpoint is in the v1 single-file format and holds a
+/// half-finished decade campaign (both VAA runs durable, Hayat chip 0 in
+/// flight); the reference is the full uninterrupted campaign's `--json`
+/// export at `--jobs 1`. Imported into a checkpoint directory and resumed
+/// with today's decision path (the age-curve inversion, the dense DCM scan
+/// and stage 2's pruning), it must complete the campaign and reproduce the
+/// pre-refactor export byte for byte — at a shard capacity of one run,
+/// where resume seals the imported tail into shards, and at the default.
 #[test]
 fn pre_refactor_fixture_resumes_byte_identical_on_the_fast_path() {
     // The exact flags the fixture was generated with:
@@ -294,23 +296,39 @@ fn pre_refactor_fixture_resumes_byte_identical_on_the_fast_path() {
     config.mesh = (4, 4);
     let reference = include_str!("fixtures/pre_pr5_reference.json");
 
-    let path = scratch("pre_pr5_fixture");
-    // Resume rewrites the checkpoint in place, so work on a copy.
-    std::fs::write(&path, include_bytes!("fixtures/pre_pr5.ckpt")).unwrap();
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/pre_pr5.ckpt"
+    );
     let campaign = Campaign::new(config).unwrap();
 
-    let result = Checkpointer::new(&path)
-        .jobs(Jobs::serial())
-        .resume(&campaign)
-        .expect("the committed fixture must stay resumable");
+    for shard_runs in [1, hayat_checkpoint::DEFAULT_SHARD_RUNS] {
+        let dir = scratch(&format!("pre_pr5_fixture_{shard_runs}"));
+        let checkpointer = ShardedCheckpointer::new(&dir)
+            .shard_runs(shard_runs)
+            .jobs(Jobs::serial());
+        checkpointer
+            .import_v1(fixture)
+            .expect("the committed fixture must stay importable");
+        let result = checkpointer
+            .resume(&campaign)
+            .expect("the imported fixture must stay resumable");
 
-    let json = serde_json::to_string_pretty(&result).unwrap();
-    assert_eq!(
-        json.trim_end(),
-        reference.trim_end(),
-        "the decision path changed the campaign the oracle-era code produced"
-    );
-    std::fs::remove_file(&path).ok();
+        let json = serde_json::to_string_pretty(&result).unwrap();
+        assert_eq!(
+            json.trim_end(),
+            reference.trim_end(),
+            "the decision path changed the campaign the oracle-era code produced \
+             (shard capacity {shard_runs})"
+        );
+        // The directory is a checkpoint of its own now: a second import
+        // must not clobber it.
+        assert!(matches!(
+            checkpointer.import_v1(fixture),
+            Err(CheckpointError::ManifestExists { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// The engine-level property behind all of the above: snapshotting at an

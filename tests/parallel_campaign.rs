@@ -55,8 +55,9 @@ proptest! {
                 .collect();
         let campaign = Campaign::new(small_config(chips, epochs, dark, seed)).unwrap();
 
-        let serial = campaign.run_with_jobs(&policies, Jobs::serial());
-        let parallel = campaign.run_with_jobs(&policies, Jobs::new(jobs).unwrap());
+        let run = |jobs: Jobs| campaign.try_run(&policies, jobs, Arc::new(NullRecorder)).unwrap();
+        let serial = run(Jobs::serial());
+        let parallel = run(Jobs::new(jobs).unwrap());
 
         prop_assert_eq!(&serial, &parallel);
         // The CI determinism gate compares exported JSON byte-for-byte;
