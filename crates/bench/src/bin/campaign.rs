@@ -509,6 +509,10 @@ fn run_durable(
     if let Some(progress) = progress {
         runner = runner.with_progress(progress);
     }
+    if args.resume_path.is_some() && !runner.has_manifest() {
+        eprintln!("no checkpoint at {path}");
+        std::process::exit(1)
+    }
     let outcome = if args.resume_path.is_some() {
         println!("resuming from checkpoint {path}");
         runner.resume_streamed(campaign, |_, metrics| sink(metrics))

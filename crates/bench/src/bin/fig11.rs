@@ -15,7 +15,7 @@ use hayat::{Campaign, SimulationConfig, SimulationEngine};
 use hayat_bench::{ascii_core_map, per_core, section};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = !hayat_bench::switches("fig11 [--quick]", &["--quick"]).is_empty();
 
     // --- Left: example chip aged maps under both policies at 50% dark. ----
     let mut config = SimulationConfig::paper(0.5);

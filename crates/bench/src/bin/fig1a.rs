@@ -9,6 +9,7 @@ use hayat_aging::NbtiModel;
 use hayat_units::{Celsius, DutyCycle, Years};
 
 fn main() {
+    hayat_bench::switches("fig1a", &[]);
     let nbti = NbtiModel::paper();
     let t = Celsius::new(80.0).to_kelvin();
     let duty = DutyCycle::worst_case();

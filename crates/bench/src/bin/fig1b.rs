@@ -13,6 +13,7 @@ use hayat_aging::AgingModel;
 use hayat_units::{Celsius, DutyCycle, Years};
 
 fn main() {
+    hayat_bench::switches("fig1b", &[]);
     let model = AgingModel::paper(hayat_variation::VariationParams::paper().design_seed);
     let duty = DutyCycle::generic();
     let temps_c = [25.0, 75.0, 100.0, 140.0];

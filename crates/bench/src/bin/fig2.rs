@@ -33,6 +33,7 @@ struct DcmOutcome {
 }
 
 fn main() {
+    hayat_bench::switches("fig2", &[]);
     let mut config = SimulationConfig::paper(0.5);
     // Fig. 2 is a two-chip analysis; speed it up relative to the campaign.
     config.chip_count = 2;

@@ -16,6 +16,7 @@ use hayat_units::Watts;
 use hayat_variation::ChipPopulation;
 
 fn main() {
+    hayat_bench::switches("setup_sanity", &[]);
     let config = SimulationConfig::paper(0.5);
     let fp = hayat_floorplan::Floorplan::paper_8x8();
 

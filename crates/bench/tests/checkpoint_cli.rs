@@ -118,6 +118,28 @@ fn malformed_failpoint_spec_aborts_instead_of_running_vacuously() {
     std::fs::remove_dir_all(&checkpoint).ok();
 }
 
+#[test]
+fn resume_without_a_checkpoint_fails_without_the_resume_hint() {
+    let missing = scratch("missing.ckpt");
+    let empty = scratch("empty.ckpt");
+    std::fs::create_dir(&empty).unwrap();
+    for dir in [&missing, &empty] {
+        let out = campaign_cmd()
+            .args(["--resume", dir.to_str().unwrap()])
+            .output()
+            .expect("run campaign binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&format!("no checkpoint at {}", dir.display())),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("rerun with --resume"), "{stderr}");
+    }
+    assert!(!missing.exists(), "a failed resume creates nothing");
+    std::fs::remove_dir_all(&empty).ok();
+}
+
 /// `--resume FILE` on a v1 single-file checkpoint imports it into
 /// `FILE.shards/` and finishes the campaign: the pre-PR-5 fixture (a
 /// half-finished campaign written by an earlier build) must complete to

@@ -101,3 +101,18 @@ fn overhead_table_rejects_unknown_and_incomplete_flags() {
     assert_rejected(bin, &["--telemetry"], "missing value for --telemetry");
     assert_rejected(bin, &["--quick"], "unknown flag \"--quick\"");
 }
+
+#[test]
+fn figure_binaries_reject_unknown_flags() {
+    for bin in [
+        env!("CARGO_BIN_EXE_fig1a"),
+        env!("CARGO_BIN_EXE_fig1b"),
+        env!("CARGO_BIN_EXE_fig2"),
+        env!("CARGO_BIN_EXE_setup_sanity"),
+    ] {
+        assert_rejected(bin, &["--bogus"], "unknown flag \"--bogus\"");
+    }
+    let fig11 = env!("CARGO_BIN_EXE_fig11");
+    assert_rejected(fig11, &["--quik"], "unknown flag \"--quik\"");
+    assert_rejected(fig11, &["--quick", "--bogus"], "unknown flag \"--bogus\"");
+}

@@ -239,7 +239,7 @@ impl DarkCoreMap {
     }
 
     /// Mean pairwise mesh distance between on-cores — a spread measure used
-    /// by tests and the DCM ablation bench (contiguous maps score low,
+    /// by tests, the DCM ablation among them (contiguous maps score low,
     /// optimized maps score high).
     #[must_use]
     pub fn spread(&self, floorplan: &Floorplan) -> f64 {

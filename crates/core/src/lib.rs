@@ -67,7 +67,6 @@ pub use crate::policy::vaa::VaaPolicy;
 pub use crate::policy::{
     power_vector, predict_mapping_temperatures, Policy, PolicyContext, PolicyScratch,
 };
-pub use crate::sim::batch::ChipBatch;
 pub use crate::sim::campaign::{Campaign, CampaignResult, CampaignSummary, PolicyKind};
 pub use crate::sim::config::{Batch, Jobs, Pinning, SimulationConfig};
 pub use crate::sim::engine::SimulationEngine;

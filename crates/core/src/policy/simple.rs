@@ -1,4 +1,4 @@
-//! Simple reference policies used by tests, examples and ablation benches.
+//! Simple reference policies used by tests, examples and the experiment binaries.
 
 use crate::mapping::ThreadMapping;
 use crate::policy::{predict_mapping_temperatures, Policy, PolicyContext};

@@ -45,7 +45,7 @@ use std::sync::Arc;
 ///
 /// Lanes may start at different epochs (checkpoint resume): a lane whose
 /// `start_epoch` is after the current epoch simply sits out the step.
-pub struct ChipBatch {
+pub(crate) struct ChipBatch {
     engines: Vec<SimulationEngine>,
     start_epochs: Vec<usize>,
     /// One policy scratch for the whole batch — a pure cache (never carries
@@ -59,25 +59,18 @@ pub struct ChipBatch {
 
 impl ChipBatch {
     /// Builds a batch over engines that all share one campaign
-    /// configuration (floorplan, thermal config, epoch schedule), every
-    /// lane starting at epoch 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engines` is empty.
-    #[must_use]
-    pub fn new(engines: Vec<SimulationEngine>) -> Self {
-        let starts = vec![0; engines.len()];
-        ChipBatch::with_start_epochs(engines, starts)
-    }
-
-    /// [`new`](Self::new) with per-lane start epochs, for resumed runs.
+    /// configuration (floorplan, thermal config, epoch schedule), lane `i`
+    /// starting at `start_epochs[i]` (0 for a fresh run, later for a
+    /// resumed one).
     ///
     /// # Panics
     ///
     /// Panics if `engines` is empty or the lengths disagree.
     #[must_use]
-    pub fn with_start_epochs(engines: Vec<SimulationEngine>, start_epochs: Vec<usize>) -> Self {
+    pub(crate) fn with_start_epochs(
+        engines: Vec<SimulationEngine>,
+        start_epochs: Vec<usize>,
+    ) -> Self {
         assert!(!engines.is_empty(), "a batch needs at least one engine");
         assert_eq!(
             engines.len(),
@@ -96,32 +89,14 @@ impl ChipBatch {
         }
     }
 
-    /// Number of lanes in the batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// Whether the batch has no lanes (never true for a constructed batch).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.engines.is_empty()
-    }
-
     /// The engine on `lane`, for snapshotting and metric finalization.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range.
     #[must_use]
-    pub fn engine(&self, lane: usize) -> &SimulationEngine {
+    pub(crate) fn engine(&self, lane: usize) -> &SimulationEngine {
         &self.engines[lane]
-    }
-
-    /// Consumes the batch, returning its engines in lane order.
-    #[must_use]
-    pub fn into_engines(self) -> Vec<SimulationEngine> {
-        self.engines
     }
 
     /// Runs `epoch` across every lane whose run has reached it, in
@@ -129,7 +104,7 @@ impl ChipBatch {
     /// lane's record is bit-identical to what its engine's serial
     /// [`SimulationEngine::run_epoch`] would have produced; a one-lane
     /// batch simply calls it.
-    pub fn run_epoch(&mut self, epoch: usize) -> Vec<(usize, EpochRecord)> {
+    pub(crate) fn run_epoch(&mut self, epoch: usize) -> Vec<(usize, EpochRecord)> {
         if let [engine] = self.engines.as_mut_slice() {
             return if self.start_epochs[0] <= epoch {
                 vec![(0, engine.run_epoch(epoch))]
@@ -241,8 +216,8 @@ mod tests {
                 metrics
             })
             .collect();
-        let mut batch = ChipBatch::new(engines(3));
-        let mut metrics: Vec<_> = (0..batch.len())
+        let mut batch = ChipBatch::with_start_epochs(engines(3), vec![0; 3]);
+        let mut metrics: Vec<_> = (0..3)
             .map(|lane| batch.engine(lane).start_metrics())
             .collect();
         for epoch in 0..config.epoch_count() {
@@ -271,7 +246,8 @@ mod tests {
                 })
                 .collect()
         };
-        assert_eq!(records(&mut ChipBatch::new(engines(1))), reference);
+        let mut batch = ChipBatch::with_start_epochs(engines(1), vec![0]);
+        assert_eq!(records(&mut batch), reference);
 
         // A lane restored from a mid-run snapshot joins late, as a resumed
         // run does, and continues the serial trajectory exactly.
@@ -296,7 +272,7 @@ mod tests {
         };
         let (mut plain, plain_memory) = traced();
         let (engine, batch_memory) = traced();
-        let mut batch = ChipBatch::new(vec![engine]);
+        let mut batch = ChipBatch::with_start_epochs(vec![engine], vec![0]);
         for epoch in 0..config.epoch_count() {
             let _ = plain.run_epoch(epoch);
             let _ = batch.run_epoch(epoch);
@@ -377,7 +353,7 @@ mod tests {
                 SimulationEngine::new(campaign.system_for(chip), policy, &config)
             })
             .collect();
-        let mut batch = ChipBatch::new(engines);
+        let mut batch = ChipBatch::with_start_epochs(engines, vec![0; 2]);
         assert!(Arc::ptr_eq(batch.thermal.network(), &network));
         let _ = batch.run_epoch(0);
         let lane = batch.engine(0).system().transient();
@@ -387,6 +363,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one engine")]
     fn empty_batch_is_rejected() {
-        let _ = ChipBatch::new(Vec::new());
+        let _ = ChipBatch::with_start_epochs(Vec::new(), Vec::new());
     }
 }

@@ -251,7 +251,7 @@ impl SimulationEngine {
         Ok(())
     }
 
-    /// Runs a single epoch (public so benches can time one decision+window).
+    /// Runs a single epoch (public so tests can step a run epoch by epoch).
     ///
     /// The epoch is composed from the crate-visible phase helpers
     /// (`epoch_decide` → per-step `window_power_step` / thermal advance /

@@ -11,11 +11,12 @@
 //!   claim early simply takes the next one, which is what balances skewed
 //!   per-run costs; no claim is ever run twice. With [`Pinning::Cores`]
 //!   each worker is pinned to a hardware core round-robin.
-//! * **One claim driver** — every claim, one chip or many, runs through a
-//!   [`ChipBatch`], so gates, span context, in-flight resume, snapshot
-//!   cadence, completion and panic capture exist once. A one-engine batch
-//!   steps through [`SimulationEngine::run_epoch`], so `--batch 1` keeps the
-//!   per-chip thermal path and span shape.
+//! * **One claim driver** — every claim, one chip or many, runs through
+//!   the crate-private lockstep stepper `ChipBatch`, so gates, span
+//!   context, in-flight resume, snapshot cadence, completion and panic
+//!   capture exist once. A one-engine batch steps through
+//!   [`SimulationEngine::run_epoch`], so `--batch 1` keeps the per-chip
+//!   thermal path and span shape.
 //! * **Owner-thread merge** — workers publish [`RunUpdate`]s over a channel
 //!   to the *calling* thread, which owns the single mutable sink (the
 //!   canonical-order reorder buffer of [`Campaign::stream_runs`], or the

@@ -15,7 +15,7 @@
 //!   empty inlineable body.
 //! * [`JsonlRecorder`] — buffered writer streaming one JSON event per line,
 //!   aggregating a [`TelemetrySummary`] on the side.
-//! * [`MemoryRecorder`] — in-memory aggregation only, for tests and benches.
+//! * [`MemoryRecorder`] — in-memory aggregation only, for tests and tools.
 //! * [`BufferRecorder`] — ordered in-memory capture with
 //!   [`replay_into`](BufferRecorder::replay_into), used by the parallel
 //!   campaign executor to merge per-worker streams deterministically.

@@ -1,4 +1,4 @@
-//! In-memory recorder for tests and benches.
+//! In-memory recorder for tests and tools.
 
 use crate::event::EventKind;
 use crate::recorder::Recorder;

@@ -16,8 +16,8 @@
 //!   run-time error comes from leakage–temperature feedback).
 //! * [`PredictorModel::Isotropic`] — a single solve at a central reference
 //!   core, averaged per mesh distance. Cheaper to learn and store, but it
-//!   misses die-edge effects; the `ablation_predictor` bench quantifies the
-//!   gap.
+//!   misses die-edge effects; the predictor ablation test in `hayat-bench`
+//!   (`tests/ablations.rs`) quantifies the gap.
 
 use crate::config::ThermalConfig;
 use crate::profile::TemperatureMap;

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// spatial correlation; two standard kernels are provided. The exponential
 /// kernel (paper default) produces rougher fields with more short-range
 /// contrast; the Gaussian (squared-exponential) kernel produces smoother
-/// fields — the `ablation_dcm` style experiments can probe the policy's
+/// fields — DCM ablation experiments can probe the policy's
 /// sensitivity to that choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CorrelationKernel {

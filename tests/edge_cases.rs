@@ -148,9 +148,8 @@ fn sixteen_by_sixteen_mesh_scales_through_the_whole_stack() {
 fn thirty_two_by_thirty_two_mesh_smokes_through_an_epoch() {
     // One decision + transient window on a 1024-core chip: exercises the
     // dense DCM scan, stage 2's pruning and the banded steady-state factor
-    // on the largest mesh the default test suite touches (64×64 stays in
-    // the bench's --full mode; its covariance factoring alone takes tens of
-    // seconds).
+    // on the largest mesh the default test suite touches (64×64 stays out:
+    // its covariance factoring alone takes tens of seconds).
     let mut config = SimulationConfig::quick_demo();
     config.mesh = (32, 32);
     config.years = 0.25;

@@ -403,8 +403,8 @@ fn recorded_parallel_campaign_telemetry_is_scheduling_independent() {
     assert_eq!(s.gauge("campaign.jobs").map(|g| g.last), Some(1.0));
     assert_eq!(p.gauge("campaign.jobs").map(|g| g.last), Some(2.0));
     // The per-worker busy gauge is diagnostic-only but must be present,
-    // once per worker — the BENCH_9 utilization row divides it by pool
-    // wall time.
+    // once per worker — the benchmark's `executor.busy_s` sums it over
+    // the workers.
     assert_eq!(
         p.gauge("campaign.worker_busy_seconds").map(|g| g.count),
         Some(2)
